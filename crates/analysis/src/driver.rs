@@ -24,15 +24,20 @@ const SCAN_ROOTS: [&str; 7] = [
 
 /// Decides whether `pass` runs on the workspace-relative path `rel`.
 ///
-/// * `panic-path` is scoped to the three request-path files named in the
-///   policy: the serve loop, the engine, and the wire format.
+/// * `panic-path` is scoped to the request-path files named in the
+///   policy: the serve loop, the wire format, the engine, and the solve
+///   and batch paths every `decide` and `batch` request runs through.
 /// * `budget-poll` is scoped to the search/chase hot paths.
 /// * `lock-discipline` and `doc-error-hygiene` run everywhere.
 pub fn pass_applies(pass: &str, rel: &str) -> bool {
     match pass {
         "panic-path" => matches!(
             rel,
-            "src/serve.rs" | "src/jsonl.rs" | "crates/reduction/src/engine.rs"
+            "src/serve.rs"
+                | "src/jsonl.rs"
+                | "crates/reduction/src/engine.rs"
+                | "crates/reduction/src/pipeline.rs"
+                | "crates/reduction/src/batch.rs"
         ),
         "budget-poll" => {
             rel == "crates/semigroup/src/derivation.rs"
@@ -183,6 +188,11 @@ mod tests {
     #[test]
     fn scoping_table() {
         assert!(pass_applies("panic-path", "src/serve.rs"));
+        assert!(pass_applies(
+            "panic-path",
+            "crates/reduction/src/pipeline.rs"
+        ));
+        assert!(pass_applies("panic-path", "crates/reduction/src/batch.rs"));
         assert!(!pass_applies("panic-path", "crates/reduction/src/cache.rs"));
         assert!(pass_applies(
             "budget-poll",

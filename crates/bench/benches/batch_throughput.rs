@@ -2,7 +2,7 @@
 //! plus the worker pool versus one-at-a-time solving.
 //!
 //! Shape claim: on a duplicate-heavy corpus (every instance repeated under
-//! renamed symbols and rotated equations), `solve_batch` answers each
+//! renamed symbols and rotated equations), `Engine::solve_batch` answers each
 //! isomorphism class once, so its cost is ~`unique / total` of the naive
 //! loop's before parallelism even starts. The acceptance bar for the
 //! recorded baseline (`BENCH_batch.json`) is ≥5× on the 48-instance
@@ -14,10 +14,11 @@ use td_bench::duplicate_heavy_corpus;
 use td_reduction::prelude::*;
 
 /// One-at-a-time baseline: the racing solver on every instance, no
-/// deduplication, no cache.
+/// deduplication, no cache (`run_full` never consults it).
 fn bench_one_at_a_time(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch/one_at_a_time");
     group.sample_size(10);
+    let engine = Engine::new();
     for copies in [4usize, 12] {
         let corpus = duplicate_heavy_corpus(copies);
         group.bench_with_input(
@@ -27,7 +28,7 @@ fn bench_one_at_a_time(c: &mut Criterion) {
                 b.iter(|| {
                     let mut implied = 0usize;
                     for p in corpus {
-                        let run = solve(p, &Budgets::default()).expect("pipeline runs");
+                        let run = engine.run_full(p).expect("pipeline runs");
                         implied += usize::from(run.outcome.is_implied());
                     }
                     black_box(implied)
@@ -38,8 +39,9 @@ fn bench_one_at_a_time(c: &mut Criterion) {
     group.finish();
 }
 
-/// The batch pipeline with a fresh cache per iteration (so the measured
-/// win is dedup + the worker pool, not cross-iteration caching).
+/// The batch pipeline on a fresh engine — so a fresh cache — per
+/// iteration (the measured win is dedup + the worker pool, not
+/// cross-iteration caching).
 fn bench_solve_batch(c: &mut Criterion) {
     for jobs in [1usize, 4] {
         let mut group = c.benchmark_group(format!("batch/solve_batch_j{jobs}"));
@@ -51,9 +53,11 @@ fn bench_solve_batch(c: &mut Criterion) {
                 &corpus,
                 |b, corpus| {
                     b.iter(|| {
-                        let cache = DecisionCache::default();
-                        let run = solve_batch(corpus, &Budgets::default(), jobs, &cache)
-                            .expect("batch runs");
+                        let engine = Engine::with_config(EngineConfig {
+                            jobs,
+                            ..EngineConfig::default()
+                        });
+                        let run = engine.solve_batch(corpus).expect("batch runs");
                         assert_eq!(run.stats.unique, 4, "dedup must collapse the corpus");
                         black_box(run.stats)
                     });
@@ -71,15 +75,17 @@ fn bench_warm_cache(c: &mut Criterion) {
     group.sample_size(10);
     for copies in [4usize, 12] {
         let corpus = duplicate_heavy_corpus(copies);
-        let cache = DecisionCache::default();
-        solve_batch(&corpus, &Budgets::default(), 4, &cache).expect("warm-up");
+        let engine = Engine::with_config(EngineConfig {
+            jobs: 4,
+            ..EngineConfig::default()
+        });
+        engine.solve_batch(&corpus).expect("warm-up");
         group.bench_with_input(
             BenchmarkId::from_parameter(corpus.len()),
-            &(corpus, cache),
-            |b, (corpus, cache)| {
+            &(corpus, engine),
+            |b, (corpus, engine)| {
                 b.iter(|| {
-                    let run =
-                        solve_batch(corpus, &Budgets::default(), 4, cache).expect("batch runs");
+                    let run = engine.solve_batch(corpus).expect("batch runs");
                     assert_eq!(run.stats.solved, 0, "everything must hit the cache");
                     black_box(run.stats)
                 });

@@ -3,7 +3,7 @@
 //! warm, through the same `decide` path `tdq serve` uses.
 //!
 //! Shape claim: a cold engine pays one racing solve per isomorphism class
-//! (like `solve_batch` with a fresh cache); a warm engine pays only
+//! (like `Engine::solve_batch` on a fresh engine); a warm engine pays only
 //! canonicalization + a sharded cache read per request — the steady state
 //! of a server that has seen the classes before. The recorded numbers
 //! live in `BENCH_batch.json` under `engine/*`.

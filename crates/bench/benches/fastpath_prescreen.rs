@@ -72,7 +72,7 @@ fn bench_fastpath_cold(c: &mut Criterion) {
 }
 
 /// Baseline: the same corpus with the fast path off — every instance pays
-/// the full racing portfolio (the cost the prescreen tier removes).
+/// the full search race (the cost the prescreen tier removes).
 fn bench_cold_baseline(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine/cold_decide");
     group.sample_size(10);
@@ -101,7 +101,7 @@ fn bench_cold_baseline(c: &mut Criterion) {
 /// Both settling stages are pinned — the subsumption settle (`A₀ = 0`
 /// alias) and the refutation-probe settle (zero-only presentation). This
 /// is the tier's own cost, the price every stage-0 `decide` pays before
-/// the cache answer or the portfolio spawn; the end-to-end singles below
+/// the cache answer or the search race; the end-to-end singles below
 /// add canonicalization on top.
 fn bench_prescreen_settle(c: &mut Criterion) {
     let mut group = c.benchmark_group("fastpath/prescreen_settle");

@@ -8,10 +8,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use td_bench::{fig1_td, full_td_family, join_on_supplier, two_star_tableau_goal};
-use td_core::budget::Parallelism;
 use td_core::chase::ChaseBudget;
 use td_core::homomorphism::MatchStrategy;
-use td_core::inference::{implies, implies_full, implies_with, implies_with_strategy};
+use td_core::inference::{implies, implies_full, implies_with_strategy};
 
 const STRATEGIES: [(&str, MatchStrategy); 2] = [
     ("naive", MatchStrategy::Naive),
@@ -74,46 +73,6 @@ fn bench_two_star_decision(c: &mut Criterion) {
     }
 }
 
-/// The same negative decision with parallel delta-trigger discovery:
-/// `Parallelism::Threads(4)` fans the semi-naive scan across a scoped
-/// worker team and merges candidates back in sequential order (the
-/// verdict is asserted identical). Shape claim: on a multi-core machine
-/// the `k = 24` closure amortizes the fan-out and approaches the worker
-/// count; on one core it can only add merge overhead — the recorded
-/// numbers in `BENCH_chase.json` note which machine they came from.
-fn bench_two_star_parallel(c: &mut Criterion) {
-    for (name, parallelism) in [
-        ("threads4", Parallelism::Threads(4)),
-        ("off", Parallelism::Off),
-    ] {
-        let mut group = c.benchmark_group(format!("full_td/decide_two_star_par/{name}"));
-        group.sample_size(10);
-        for k in [8usize, 16, 24] {
-            let (schema, family) = full_td_family(3);
-            let goal = two_star_tableau_goal(&schema, k);
-            group.bench_with_input(
-                BenchmarkId::from_parameter(k),
-                &(family, goal),
-                |b, (family, goal)| {
-                    b.iter(|| {
-                        let v = implies_with(
-                            family,
-                            goal,
-                            ChaseBudget::unlimited(),
-                            MatchStrategy::Indexed,
-                            parallelism,
-                        )
-                        .unwrap();
-                        assert!(v.is_not_implied());
-                        black_box(v)
-                    });
-                },
-            );
-        }
-        group.finish();
-    }
-}
-
 fn bench_embedded_vs_full(c: &mut Criterion) {
     let mut group = c.benchmark_group("full_td/vs_embedded");
     let join = vec![join_on_supplier()];
@@ -131,7 +90,6 @@ criterion_group!(
     benches,
     bench_full_decision,
     bench_two_star_decision,
-    bench_two_star_parallel,
     bench_embedded_vs_full
 );
 criterion_main!(benches);

@@ -220,7 +220,7 @@ pub const EASY_HEAVY_ELIGIBLE: usize = 32;
 ///   without extra nil equations: derivable, settled by the subsumption
 ///   stage in one premise scan;
 /// * indices `32..48` — instances the fast path must *bail* on and hand to
-///   the portfolio: short relabel chains, the one-step product chain, the
+///   the search race: short relabel chains, the one-step product chain, the
 ///   running two-generator example, idempotents, absorptions, and other
 ///   goal-relevant equations that need a real derivation or countermodel
 ///   search. Each is chosen to keep the full solve in the sub-millisecond
@@ -231,7 +231,7 @@ pub const EASY_HEAVY_ELIGIBLE: usize = 32;
 /// point of the corpus is the *mix*, not per-instance bulk, and small
 /// instances keep the common canonicalize-and-reduce prefix — paid
 /// identically by the fast path and the baseline — from drowning the
-/// portfolio spend the prescreen removes.
+/// search spend the prescreen removes.
 ///
 /// The first [`EASY_HEAVY_ELIGIBLE`] instances are the eligibility claim
 /// the `fastpath_prescreen` bench asserts: every one must be settled by
@@ -283,7 +283,7 @@ pub fn easy_heavy_corpus() -> Vec<Presentation> {
     corpus.push(parse(4, &["A0 = 0", "A1 A1 = 0"]));
     corpus.push(parse(3, &["A0 = 0", "A1 A2 = 0"]));
     debug_assert_eq!(corpus.len(), EASY_HEAVY_ELIGIBLE);
-    // Hard tail: the prescreen bails and the portfolio does the work.
+    // Hard tail: the prescreen bails and the search race does the work.
     corpus.extend((1..=3).map(relabel_chain));
     corpus.push(product_chain(1));
     corpus.push(parse(2, &["A1 A1 = A0", "A1 A1 = 0"]));

@@ -34,51 +34,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Thread-team sizing for the data-parallel phases of a search.
-///
-/// The knob every parallel phase in the workspace shares: semi-naive
-/// trigger discovery in [`crate::chase::ChaseEngine`] partitions its delta
-/// scan across a scoped team of this many workers. The contract is strict
-/// determinism — a parallel run must produce byte-identical verdicts,
-/// proofs, and transcripts to the sequential one (worker results are
-/// merged in the sequential enumeration order), so this setting is purely
-/// a wall-clock lever and defaults to [`Parallelism::Off`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Parallelism {
-    /// Everything on the calling thread (the exact-compatibility
-    /// baseline, and the differential oracle for the parallel paths).
-    #[default]
-    Off,
-    /// A scoped team of `n` worker threads. `Threads(0)` and `Threads(1)`
-    /// behave exactly like [`Parallelism::Off`].
-    Threads(usize),
-}
-
-impl Parallelism {
-    /// One worker per available core
-    /// ([`std::thread::available_parallelism`]), falling back to `Off`
-    /// when the count is unavailable.
-    pub fn available() -> Self {
-        match std::thread::available_parallelism() {
-            Ok(n) if n.get() > 1 => Parallelism::Threads(n.get()),
-            _ => Parallelism::Off,
-        }
-    }
-
-    /// The effective worker count: at least 1, even for `Threads(0)`.
-    pub fn workers(self) -> usize {
-        match self {
-            Parallelism::Off => 1,
-            Parallelism::Threads(n) => n.max(1),
-        }
-    }
-
-    /// `true` when more than one worker would actually run.
-    pub fn is_parallel(self) -> bool {
-        self.workers() > 1
-    }
-}
-
 /// A shareable, one-shot cooperative-cancellation token.
 ///
 /// Cheap to poll (one relaxed load) and impossible to "un-cancel": once
@@ -329,19 +284,6 @@ mod tests {
             }
         });
         assert_eq!(m.total(), 3 + 4 * 1000 * 2);
-    }
-
-    #[test]
-    fn parallelism_worker_counts_are_clamped() {
-        assert_eq!(Parallelism::Off.workers(), 1);
-        assert_eq!(Parallelism::Threads(0).workers(), 1);
-        assert_eq!(Parallelism::Threads(1).workers(), 1);
-        assert_eq!(Parallelism::Threads(4).workers(), 4);
-        assert!(!Parallelism::Off.is_parallel());
-        assert!(!Parallelism::Threads(1).is_parallel());
-        assert!(Parallelism::Threads(2).is_parallel());
-        assert_eq!(Parallelism::default(), Parallelism::Off);
-        assert!(Parallelism::available().workers() >= 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use std::collections::HashSet;
 use std::ops::ControlFlow;
 
-use crate::budget::{Cancellation, Parallelism};
+use crate::budget::Cancellation;
 use crate::error::{CoreError, Result};
 use crate::homomorphism::{for_each_match_capped, for_each_match_with, Binding, MatchStrategy};
 use crate::ids::{AttrId, RowId, Value, Var};
@@ -30,25 +30,6 @@ use super::Goal;
 /// (column, variable, value) order — what [`Binding::to_sorted_vec`]
 /// produces. Delta discovery deduplicates on `(td_index, TriggerKey)`.
 type TriggerKey = Vec<(AttrId, Var, Value)>;
-
-/// What one discovery worker brings back from its slice of the delta:
-/// for each `(td, pivot)` unit, the locally-deduplicated active triggers
-/// found in the worker's row range, in row-id order, each paired with its
-/// dedup key so the merge never recomputes it.
-struct WorkerFindings {
-    /// Indexed like the shared unit list: `per_unit[u]` holds this
-    /// worker's candidates for unit `u`.
-    per_unit: Vec<Vec<(Binding, TriggerKey)>>,
-    /// The worker stopped early after collecting its candidate quota.
-    hit_cap: bool,
-    /// The worker observed the cancellation token and stopped scanning.
-    cancelled: bool,
-}
-
-/// One `(td_index, td, pivot_position, rest_pattern)` discovery unit of
-/// the duplicate-free semi-naive decomposition, prepared once and shared
-/// read-only by every discovery worker.
-type DeltaUnit<'t> = (usize, &'t Td, usize, Vec<(&'t TdRow, usize)>);
 
 /// Which triggers fire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -264,10 +245,6 @@ pub struct ChaseEngine<'a> {
     /// cancelled-vs-exhausted split the tracked searches report.
     cancel: Option<&'a Cancellation>,
     cancelled: bool,
-    /// Worker-team width for delta-trigger discovery. Off by default;
-    /// verdicts, proofs, and spend are identical for every setting (the
-    /// parallel pass merges worker output back into sequential order).
-    parallelism: Parallelism,
 }
 
 impl<'a> ChaseEngine<'a> {
@@ -323,7 +300,6 @@ impl<'a> ChaseEngine<'a> {
             strategy: MatchStrategy::default(),
             cancel: None,
             cancelled: false,
-            parallelism: Parallelism::Off,
         })
     }
 
@@ -344,22 +320,6 @@ impl<'a> ChaseEngine<'a> {
     /// The matching strategy in use.
     pub fn strategy(&self) -> MatchStrategy {
         self.strategy
-    }
-
-    /// Selects the worker-team width for semi-naive delta discovery
-    /// (builder style). Parallel discovery partitions the delta row range
-    /// across a scoped thread team over the immutable arena and merges the
-    /// per-worker candidates back in row-id order, so every observable —
-    /// verdict, proof shape, spent counters, truncation — is identical to
-    /// [`Parallelism::Off`]. The sequential path stays the oracle.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// The discovery parallelism in use.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 
     /// Attaches a cooperative-cancellation token (builder style). The
@@ -553,26 +513,6 @@ impl<'a> ChaseEngine<'a> {
         cap: usize,
         pending: &mut Vec<(usize, Binding)>,
     ) -> bool {
-        if self.parallelism.is_parallel() {
-            if let Some(truncated) =
-                self.discover_delta_parallel(upto_td, delta_start, delta_end, cap, pending)
-            {
-                return truncated;
-            }
-        }
-        self.discover_delta_seq(upto_td, delta_start, delta_end, cap, pending)
-    }
-
-    /// The sequential delta pass — and the semantics oracle the parallel
-    /// pass below must reproduce byte for byte.
-    fn discover_delta_seq(
-        &self,
-        upto_td: usize,
-        delta_start: usize,
-        delta_end: usize,
-        cap: usize,
-        pending: &mut Vec<(usize, Binding)>,
-    ) -> bool {
         let mut truncated = false;
         let mut seen: HashSet<(usize, TriggerKey)> = HashSet::new();
         'tds: for (i, td) in self.tds.iter().enumerate().take(upto_td) {
@@ -619,184 +559,6 @@ impl<'a> ChaseEngine<'a> {
             }
         }
         truncated
-    }
-
-    /// The parallel delta pass: partitions `delta_start..delta_end` into
-    /// one contiguous chunk per worker and scans every `(td, pivot)` unit
-    /// over each chunk on a scoped thread team. The arena is immutable
-    /// during discovery, so workers share `&self`; each owns its dense
-    /// [`Binding`] seeds, its local dedup set, and its candidate quota.
-    /// The merge then replays the candidates in sequential order —
-    /// unit-major, then row id (chunks are contiguous and ordered) —
-    /// through one global dedup set, so `pending` ends up byte-identical
-    /// to [`ChaseEngine::discover_delta_seq`], including where truncation
-    /// lands. Returns `None` to fall back to the sequential oracle: when
-    /// the team or the delta is too small to split, when the cap is
-    /// already spent, or in the (provably unreachable, but defended)
-    /// corner where a worker hit its quota yet cross-worker dedup left
-    /// the merge short of the cap.
-    fn discover_delta_parallel(
-        &self,
-        upto_td: usize,
-        delta_start: usize,
-        delta_end: usize,
-        cap: usize,
-        pending: &mut Vec<(usize, Binding)>,
-    ) -> Option<bool> {
-        let rows = delta_end.saturating_sub(delta_start);
-        let workers = self.parallelism.workers().min(rows);
-        // `cap` bounds the whole pending vector, and the full pass that
-        // ran before this one may already have filled part of it.
-        let quota = cap.saturating_sub(pending.len());
-        if workers < 2 || quota == 0 {
-            return None;
-        }
-        // The same duplicate-free decomposition the sequential pass
-        // walks, hoisted so every worker shares the prepared patterns.
-        let units: Vec<DeltaUnit<'_>> = self
-            .tds
-            .iter()
-            .enumerate()
-            .take(upto_td)
-            .flat_map(|(i, td)| {
-                (0..td.antecedent_count()).map(move |j| {
-                    let rest: Vec<(&TdRow, usize)> = td
-                        .antecedents()
-                        .iter()
-                        .enumerate()
-                        .filter(|&(k, _)| k != j)
-                        .map(|(k, r)| (r, if k < j { delta_start } else { usize::MAX }))
-                        .collect();
-                    (i, td, j, rest)
-                })
-            })
-            .collect();
-        if units.is_empty() {
-            return Some(false);
-        }
-        // Contiguous balanced row chunks; chunk order == row-id order.
-        let base = rows / workers;
-        let extra = rows % workers;
-        let mut chunks = Vec::with_capacity(workers);
-        let mut next = delta_start;
-        for w in 0..workers {
-            let len = base + usize::from(w < extra);
-            chunks.push((next, next + len));
-            next += len;
-        }
-        let findings: Vec<WorkerFindings> = std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|&(lo, hi)| {
-                    let units = &units;
-                    s.spawn(move || self.scan_delta_chunk(units, lo, hi, quota))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("delta discovery worker panicked"))
-                .collect()
-        });
-        if findings.iter().any(|f| f.cancelled) {
-            // Same observable as a sequential pass interrupted by the
-            // token: report truncation; run() polls the (sticky) token
-            // next, rolls the frontier back, and discards `pending`.
-            return Some(true);
-        }
-        // Merge in sequential order: units outer, chunks inner, one
-        // global dedup set. Candidates go to a staging vector so the
-        // sequential fallback never sees a half-merged `pending`.
-        let hit_cap = findings.iter().any(|f| f.hit_cap);
-        let mut seen: HashSet<(usize, &TriggerKey)> = HashSet::new();
-        let mut merged: Vec<(usize, &Binding)> = Vec::new();
-        let mut truncated = false;
-        // td-lint: allow(budget-poll) in-memory merge of already-discovered
-        // candidates, bounded by the cap break below; the workers polled the
-        // cancellation token during the scan itself
-        'merge: for (u, &(i, ..)) in units.iter().enumerate() {
-            // td-lint: allow(budget-poll) same bounded merge — inner walk over
-            // the fixed worker findings, capped by the 'merge break
-            for f in &findings {
-                for (b, key) in &f.per_unit[u] {
-                    if seen.insert((i, key)) {
-                        merged.push((i, b));
-                        if pending.len() + merged.len() >= cap {
-                            truncated = true;
-                            break 'merge;
-                        }
-                    }
-                }
-            }
-        }
-        if !truncated && hit_cap {
-            // A worker stopped at its quota but the merge came up short
-            // of the cap, so the tail of that worker's chunk was never
-            // scanned. The quota accounting makes this unreachable
-            // (every locally-deduped candidate either merges or matches
-            // an earlier-merged key, so exhausting a worker's quota
-            // forces the merge to the cap), but fall back to the oracle
-            // rather than lean on that argument.
-            return None;
-        }
-        pending.extend(merged.into_iter().map(|(i, b)| (i, b.clone())));
-        Some(truncated)
-    }
-
-    /// One worker's scan: every unit over rows `lo..hi` of the delta,
-    /// with a local dedup set spanning all units (a key rejected here
-    /// would also be rejected by the merge — its earlier occurrence
-    /// precedes it in merge order too) and a quota of deduplicated
-    /// active candidates, past which the merge provably reaches the cap
-    /// without this worker's tail.
-    fn scan_delta_chunk(
-        &self,
-        units: &[DeltaUnit<'_>],
-        lo: usize,
-        hi: usize,
-        quota: usize,
-    ) -> WorkerFindings {
-        let mut out = WorkerFindings {
-            per_unit: units.iter().map(|_| Vec::new()).collect(),
-            hit_cap: false,
-            cancelled: false,
-        };
-        let mut local_seen: HashSet<(usize, TriggerKey)> = HashSet::new();
-        let mut collected = 0usize;
-        'units: for (u, &(i, td, j, ref rest)) in units.iter().enumerate() {
-            let pivot = &td.antecedents()[j];
-            for rid in lo..hi {
-                // Same per-row cancellation cadence as the sequential
-                // pass, so a shutdown is observed mid-discovery.
-                if self.cancel.is_some_and(Cancellation::is_cancelled) {
-                    out.cancelled = true;
-                    break 'units;
-                }
-                let tuple = self.st.state.row(RowId::from(rid));
-                let mut seed = Binding::new(td.arity());
-                if !seed.bind_row(pivot, tuple) {
-                    continue; // pivot row self-conflicts on this tuple
-                }
-                for_each_match_capped(self.strategy, rest, &self.st.state, &seed, |b| {
-                    if self.is_active(td, b) {
-                        let key = b.to_sorted_vec();
-                        if local_seen.insert((i, key.clone())) {
-                            out.per_unit[u].push((b.clone(), key));
-                            collected += 1;
-                        }
-                    }
-                    if collected >= quota {
-                        out.hit_cap = true;
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                });
-                if out.hit_cap {
-                    break 'units;
-                }
-            }
-        }
-        out
     }
 
     /// Runs the chase to completion, goal, or budget exhaustion.
@@ -1470,166 +1232,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::ProofReplay(_)));
-    }
-
-    /// Runs the same chase under `Parallelism::Off` and `parallelism`,
-    /// asserting every observable is byte-identical: outcome, steps,
-    /// rounds, the final instance, and the full proof log.
-    fn assert_parallel_matches_sequential(
-        tds: &[Td],
-        initial: &Instance,
-        budget: ChaseBudget,
-        goal: Option<&Goal>,
-        parallelism: Parallelism,
-    ) -> ChaseOutcome {
-        let mut seq =
-            ChaseEngine::new(tds, initial.clone(), ChasePolicy::Restricted, budget).unwrap();
-        let seq_outcome = seq.run(goal);
-        let (seq_steps, seq_rounds) = (seq.steps_fired(), seq.rounds_run());
-        let (seq_state, seq_proof) = seq.into_parts();
-
-        let mut par = ChaseEngine::new(tds, initial.clone(), ChasePolicy::Restricted, budget)
-            .unwrap()
-            .with_parallelism(parallelism);
-        let par_outcome = par.run(goal);
-        assert_eq!(par_outcome, seq_outcome, "outcome diverged");
-        assert_eq!(par.steps_fired(), seq_steps, "steps diverged");
-        assert_eq!(par.rounds_run(), seq_rounds, "rounds diverged");
-        let (par_state, par_proof) = par.into_parts();
-        assert_eq!(par_state, seq_state, "fixpoint diverged");
-        assert_eq!(par_proof, seq_proof, "proof log diverged");
-        seq_outcome
-    }
-
-    /// The tentpole contract: a parallel team over the delta reproduces
-    /// the sequential engine exactly on a multi-round fixture (3 seed
-    /// rows close to the 3×3 product over several delta rounds, so the
-    /// parallel pass genuinely engages).
-    #[test]
-    fn parallel_delta_discovery_is_byte_identical_to_sequential() {
-        let mut initial = Instance::new(schema2());
-        for v in 0..3u32 {
-            initial.insert_values([v, v]).unwrap();
-        }
-        let tds = vec![prod_td()];
-        for workers in [2, 3, 4, 7] {
-            let outcome = assert_parallel_matches_sequential(
-                &tds,
-                &initial,
-                ChaseBudget::default(),
-                None,
-                Parallelism::Threads(workers),
-            );
-            assert_eq!(outcome, ChaseOutcome::Terminated);
-        }
-        // Multi-TD Σ with a genuinely different closure shape.
-        let tds = vec![pt_td(), prod_td()];
-        let outcome = assert_parallel_matches_sequential(
-            &tds,
-            &two_component_initial(),
-            ChaseBudget::default(),
-            None,
-            Parallelism::Threads(4),
-        );
-        assert_eq!(outcome, ChaseOutcome::Terminated);
-    }
-
-    /// Truncation parity: a step budget that cuts discovery mid-pass must
-    /// land on the same rows, steps, and outcome under the parallel team
-    /// (the merge stops at the cap exactly where the oracle does).
-    #[test]
-    fn parallel_truncated_discovery_matches_sequential() {
-        let mut initial = Instance::new(schema2());
-        for v in 0..4u32 {
-            initial.insert_values([v, v]).unwrap();
-        }
-        let tds = vec![prod_td()];
-        for max_steps in [1, 2, 3, 5] {
-            let budget = ChaseBudget {
-                max_steps,
-                max_rows: 100,
-                max_rounds: 50,
-            };
-            assert_parallel_matches_sequential(
-                &tds,
-                &initial,
-                budget,
-                None,
-                Parallelism::Threads(3),
-            );
-        }
-    }
-
-    /// Goal parity: the goal row, the early stop, and the rollback are
-    /// identical under the parallel team.
-    #[test]
-    fn parallel_goal_reached_matches_sequential() {
-        let mut initial = Instance::new(schema2());
-        for v in 0..3u32 {
-            initial.insert_values([v, v]).unwrap();
-        }
-        let tds = vec![prod_td()];
-        let goal = Goal::new(vec![Some(Value::new(0)), Some(Value::new(2))]);
-        let outcome = assert_parallel_matches_sequential(
-            &tds,
-            &initial,
-            ChaseBudget::default(),
-            Some(&goal),
-            Parallelism::Threads(4),
-        );
-        assert_eq!(outcome, ChaseOutcome::GoalReached);
-    }
-
-    /// A pre-cancelled token stops a parallel run exactly like a
-    /// sequential one: `BudgetExhausted`, `was_cancelled`, nothing fired.
-    #[test]
-    fn parallel_run_observes_cancellation() {
-        let mut initial = Instance::new(schema2());
-        for v in 0..3u32 {
-            initial.insert_values([v, v]).unwrap();
-        }
-        let tds = vec![prod_td()];
-        let cancel = Cancellation::new();
-        cancel.cancel();
-        let mut engine = ChaseEngine::new(
-            &tds,
-            initial,
-            ChasePolicy::Restricted,
-            ChaseBudget::default(),
-        )
-        .unwrap()
-        .with_parallelism(Parallelism::Threads(4))
-        .with_cancellation(&cancel);
-        assert_eq!(engine.run(None), ChaseOutcome::BudgetExhausted);
-        assert!(engine.was_cancelled());
-        assert_eq!(engine.steps_fired(), 0);
-    }
-
-    /// `Threads(0)` and `Threads(1)` degrade to the sequential path (the
-    /// knob is a width, never a switch that can wedge a run).
-    #[test]
-    fn degenerate_parallelism_widths_run_sequentially() {
-        let mut initial = Instance::new(schema2());
-        initial.insert_values([0, 0]).unwrap();
-        initial.insert_values([1, 1]).unwrap();
-        let tds = vec![prod_td()];
-        for p in [
-            Parallelism::Off,
-            Parallelism::Threads(0),
-            Parallelism::Threads(1),
-        ] {
-            let mut engine = ChaseEngine::new(
-                &tds,
-                initial.clone(),
-                ChasePolicy::Restricted,
-                ChaseBudget::default(),
-            )
-            .unwrap()
-            .with_parallelism(p);
-            assert!(!engine.parallelism().is_parallel() || p.is_parallel());
-            assert_eq!(engine.run(None), ChaseOutcome::Terminated);
-            assert_eq!(engine.state().len(), 4);
-        }
     }
 
     #[test]

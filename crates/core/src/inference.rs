@@ -20,7 +20,6 @@
 //! terminates: [`implies_full`] decides implication outright (the decidable
 //! fragment the paper contrasts against).
 
-use crate::budget::Parallelism;
 use crate::chase::{
     weakly_acyclic, ChaseBudget, ChaseEngine, ChaseOutcome, ChasePolicy, ChaseProof, Goal,
 };
@@ -135,32 +134,12 @@ pub fn implies_with_strategy(
     budget: ChaseBudget,
     strategy: MatchStrategy,
 ) -> Result<InferenceVerdict> {
-    implies_with(d, d0, budget, strategy, Parallelism::Off)
-}
-
-/// [`implies`] under an explicit [`MatchStrategy`] *and* [`Parallelism`]
-/// width for the chase's delta-trigger discovery. The verdict, the proof,
-/// and the spent counters must not depend on either knob (the sequential
-/// path is the oracle; the differential suites enforce the equality).
-///
-/// # Errors
-///
-/// Fails when any member of `d` disagrees with `d0` on schema, or when
-/// freezing `d0` or constructing the chase engine fails.
-pub fn implies_with(
-    d: &[Td],
-    d0: &Td,
-    budget: ChaseBudget,
-    strategy: MatchStrategy,
-    parallelism: Parallelism,
-) -> Result<InferenceVerdict> {
     for td in d {
         d0.schema().expect_same(td.schema())?;
     }
     let (frozen, _, goal) = freeze(d0)?;
-    let mut engine = ChaseEngine::new(d, frozen, ChasePolicy::Restricted, budget)?
-        .with_strategy(strategy)
-        .with_parallelism(parallelism);
+    let mut engine =
+        ChaseEngine::new(d, frozen, ChasePolicy::Restricted, budget)?.with_strategy(strategy);
     match engine.run(Some(&goal)) {
         ChaseOutcome::GoalReached => {
             let (_, proof) = engine.into_parts();
@@ -250,29 +229,13 @@ pub fn redundant_with(
     budget: ChaseBudget,
     strategy: MatchStrategy,
 ) -> Result<InferenceVerdict> {
-    redundant_with_opts(d, index, budget, strategy, Parallelism::Off)
-}
-
-/// [`redundant`] under an explicit [`MatchStrategy`] and [`Parallelism`]
-/// width (neither may change the verdict; see [`implies_with`]).
-///
-/// # Errors
-///
-/// Fails when the set members disagree on schema.
-pub fn redundant_with_opts(
-    d: &[Td],
-    index: usize,
-    budget: ChaseBudget,
-    strategy: MatchStrategy,
-    parallelism: Parallelism,
-) -> Result<InferenceVerdict> {
     let rest: Vec<Td> = d
         .iter()
         .enumerate()
         .filter(|&(i, _)| i != index)
         .map(|(_, t)| t.clone())
         .collect();
-    implies_with(&rest, &d[index], budget, strategy, parallelism)
+    implies_with_strategy(&rest, &d[index], budget, strategy)
 }
 
 /// **Finite implication**, dovetailed: runs the chase (a proof of

@@ -99,7 +99,7 @@ pub mod union_find;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::budget::{Cancellation, Meter, Parallelism, StopReason, Ticker};
+    pub use crate::budget::{Cancellation, Meter, StopReason, Ticker};
     pub use crate::canon::{canon_key, system_key, CanonKey};
     pub use crate::chase::{
         ChaseBudget, ChaseEngine, ChaseOutcome, ChasePolicy, ChaseProof, ChaseState, Goal,
@@ -110,9 +110,7 @@ pub mod prelude {
     pub use crate::error::CoreError;
     pub use crate::homomorphism::{match_all, match_first, Binding, MatchStrategy};
     pub use crate::ids::{AttrId, RowId, Value, Var};
-    pub use crate::inference::{
-        implies, implies_full, implies_with, implies_with_strategy, InferenceVerdict,
-    };
+    pub use crate::inference::{implies, implies_full, implies_with_strategy, InferenceVerdict};
     pub use crate::instance::Instance;
     pub use crate::satisfaction::{find_violation, satisfies};
     pub use crate::schema::Schema;

@@ -1,10 +1,10 @@
-//! Batch decision pipeline: many implication questions, each answered once
-//! per isomorphism class.
+//! Batch decision types: many implication questions, each answered once
+//! per isomorphism class by [`crate::engine::Engine::solve_batch`].
 //!
 //! Corpora of word-problem instances are full of isomorphic repeats —
 //! machine-generated queries differ by symbol names, equation order, or
-//! variable names while asking the same question. [`solve_batch`] exploits
-//! this in three layers:
+//! variable names while asking the same question. A batch exploits this
+//! in three layers:
 //!
 //! 1. **Canonicalization** — every instance is reduced to its dependency
 //!    system `(D, D₀)` and keyed by [`td_core::canon::system_key`], which
@@ -12,31 +12,27 @@
 //!    verdict (per-column variable renaming, row permutation, premise
 //!    reordering).
 //! 2. **Deduplication + caching** — only the first instance of each key is
-//!    solved; settled verdicts are also recorded in a shared
-//!    [`DecisionCache`], so a pre-warmed cache skips even the first copy.
-//!    `Unknown` verdicts are shared *within* the batch call (budgets are
-//!    fixed for the call) but never written to the cross-call cache.
-//! 3. **A fixed worker pool** — the distinct instances are solved on
-//!    `jobs` scoped threads, each running the racing solver
-//!    ([`crate::pipeline::solve_with`] under [`SolveMode::Racing`]);
+//!    solved; settled verdicts are also recorded in the engine's shared
+//!    [`crate::cache::DecisionCache`], so a pre-warmed cache skips even the
+//!    first copy. `Unknown` verdicts are shared *within* the batch call
+//!    (budgets are fixed for the call) but never written to the cache.
+//! 3. **A fixed worker pool** — the distinct instances are solved on the
+//!    engine's `jobs` scoped threads, each running the racing solver;
 //!    results are fanned back out to the input order.
 //!
 //! The outcome of a batch is deterministic: which instances get solved,
 //! every verdict, and the [`BatchStats`] are independent of thread
 //! scheduling (only wall-clock time varies).
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+// Every batch request's verdicts pass through this module on a serve
+// worker. The td-lint panic-path pass enforces panic-freedom lexically;
+// the clippy pair keeps `cargo clippy` aligned.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
-use td_core::budget::Cancellation;
 use td_core::canon::CanonKey;
-use td_semigroup::presentation::Presentation;
 
-use crate::cache::{CachedOutcome, CachedVerdict, DecisionCache};
-use crate::engine::Engine;
-use crate::error::Result;
-use crate::pipeline::{solve_with_opts_on, Budgets, PipelineOutcome, PipelineRun, SolveOptions};
+use crate::cache::{CachedOutcome, CachedVerdict};
+use crate::pipeline::{PipelineOutcome, PipelineRun};
 
 /// One instance's verdict, compressed to the numbers a batch report needs.
 /// Full certificates are only materialized by the run that solved the
@@ -64,7 +60,7 @@ pub enum BatchVerdict {
     },
 }
 
-/// Work accounting for one [`solve_batch`] call.
+/// Work accounting for one [`crate::engine::Engine::solve_batch`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Instances in the batch.
@@ -148,71 +144,6 @@ pub(crate) fn from_cached(outcome: &CachedOutcome) -> BatchVerdict {
     }
 }
 
-/// Decides a batch of word-problem instances, deduplicating by canonical
-/// key, consulting and feeding `cache`, and solving the distinct remainder
-/// on a pool of `jobs` scoped worker threads (clamped to at least one;
-/// each worker runs the racing solver). Verdicts come back in input order.
-///
-/// Deduplication is sound because the canonical key quotients by exactly
-/// the transformations that cannot change a verdict — see
-/// [`td_core::canon`].
-///
-/// # Errors
-///
-/// Fails when any item fails to canonicalize or solve (normalization,
-/// reduction, or chase errors); the first failing item aborts the batch.
-pub fn solve_batch(
-    items: &[Presentation],
-    budgets: &Budgets,
-    jobs: usize,
-    cache: &DecisionCache,
-) -> Result<BatchRun> {
-    solve_batch_with(items, budgets, jobs, cache, SolveOptions::default())
-}
-
-/// [`solve_batch`] under explicit [`SolveOptions`]: every worker solves
-/// with the given scheduling mode and homomorphism strategy. Verdicts must
-/// not depend on the options (the golden batch corpus is replayed under
-/// `--strategy naive` to pin that), so this exists for performance runs
-/// and oracle-vs-planner differentials, not for semantics.
-///
-/// Thin wrapper over the shared engine core ([`solve_batch_core`], the
-/// same code [`Engine::solve_batch`] runs): each worker executes the raw
-/// pipeline under a fresh per-item cancellation token.
-///
-/// # Errors
-///
-/// Same as [`solve_batch`].
-pub fn solve_batch_with(
-    items: &[Presentation],
-    budgets: &Budgets,
-    jobs: usize,
-    cache: &DecisionCache,
-    opts: SolveOptions,
-) -> Result<BatchRun> {
-    solve_batch_core(items, jobs, cache, &|p, _key| {
-        solve_with_opts_on(p, budgets, opts, &Cancellation::new()).map(ItemOutcome::Ran)
-    })
-}
-
-/// What the per-item solver produced: a pipeline run this worker actually
-/// executed, or a settled outcome another flight produced while this
-/// worker waited (the engine's single-flight gate — only `Ran` counts
-/// toward [`BatchStats::solved`]).
-#[allow(clippy::large_enum_variant)] // Ran carries the full run by design; one per worker at a time
-pub(crate) enum ItemOutcome {
-    /// This worker ran the racing solver.
-    Ran(PipelineRun),
-    /// Another in-flight request settled the key first.
-    Settled(CachedOutcome),
-}
-
-/// The batch algorithm itself, parameterized over the per-item solver so
-/// the one-shot wrappers and the long-lived [`Engine`] share one code
-/// path. `solve_item` decides one instance (the engine passes a closure
-/// that mints a per-request ticket, runs under the single-flight gate and
-/// charges its cumulative meters; the one-shot wrappers pass a plain
-/// raced solve).
 /// The number of worker threads a fan-out phase should actually spawn:
 /// never more than `jobs` (clamped to at least 1 so a zero config cannot
 /// wedge a pool), never more than the `distinct` work items available,
@@ -225,178 +156,25 @@ pub(crate) fn solver_pool_width(jobs: usize, distinct: usize) -> usize {
     jobs.max(1).min(distinct)
 }
 
-pub(crate) fn solve_batch_core(
-    items: &[Presentation],
-    jobs: usize,
-    cache: &DecisionCache,
-    solve_item: &(dyn Fn(&Presentation, CanonKey) -> Result<ItemOutcome> + Sync),
-) -> Result<BatchRun> {
-    let evictions_before = cache.evictions();
-    // Phase 1: reduce every instance and compute its canonical key —
-    // pure, per-item work, spread over the same number of workers as the
-    // solving phase (contiguous chunks, so the result order is the input
-    // order with no locking).
-    let workers = solver_pool_width(jobs, items.len());
-    let key_of = |p: &Presentation| -> Result<CanonKey> { Engine::canonical_key(p) };
-    let keys: Vec<CanonKey> = if workers == 0 {
-        Vec::new()
-    } else {
-        let chunk_len = items.len().div_ceil(workers).max(1);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = items
-                .chunks(chunk_len)
-                .map(|chunk| s.spawn(move || chunk.iter().map(key_of).collect::<Result<Vec<_>>>()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("canonicalization worker panicked"))
-                .collect::<Result<Vec<Vec<_>>>>()
-        })?
-        .into_iter()
-        .flatten()
-        .collect()
-    };
-
-    // Phase 2: dedup to first occurrences, capturing pre-warmed verdicts
-    // *now* — on a shared bounded cache a concurrent writer could evict
-    // them before the fan-out phase, so the hit must be pinned at lookup
-    // time, not re-read later.
-    let mut distinct: HashSet<CanonKey> = HashSet::new();
-    let mut prewarmed: HashMap<CanonKey, BatchVerdict> = HashMap::new();
-    let mut to_solve: Vec<(CanonKey, usize)> = Vec::new();
-    for (i, &key) in keys.iter().enumerate() {
-        if distinct.insert(key) {
-            match cache.get(key) {
-                Some(outcome) => {
-                    prewarmed.insert(key, from_cached(&outcome));
-                }
-                None => to_solve.push((key, i)),
-            }
-        }
-    }
-
-    // Phase 3: the worker pool. Workers pull distinct instances from a
-    // shared cursor; every verdict lands in the per-call map (and settled
-    // ones additionally in the cross-call cache). `runs` counts the
-    // solver executions this call actually performed — an item settled by
-    // a concurrent flight while the worker waited is a cache hit, not a
-    // solve.
-    let runs = AtomicUsize::new(0);
-    let fastpath_runs = AtomicUsize::new(0);
-    let solved_now: Mutex<HashMap<CanonKey, BatchVerdict>> = Mutex::new(HashMap::new());
-    let first_error: Mutex<Option<crate::error::RedError>> = Mutex::new(None);
-    // The pool's shutdown signal is the shared cancellation substrate: the
-    // first failing worker cancels the pool, and the rest stop pulling
-    // work instead of solving instances whose results would be discarded.
-    let failed = Cancellation::new();
-    let cursor = AtomicUsize::new(0);
-    // Never more solver threads than distinct uncached keys (and none at
-    // all for a fully prewarmed batch).
-    let solve_workers = solver_pool_width(jobs, to_solve.len());
-    std::thread::scope(|s| {
-        for _ in 0..solve_workers {
-            s.spawn(|| loop {
-                if failed.is_cancelled() {
-                    return;
-                }
-                let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&(key, item)) = to_solve.get(slot) else {
-                    return;
-                };
-                match solve_item(&items[item], key) {
-                    Ok(ItemOutcome::Ran(run)) => {
-                        runs.fetch_add(1, Ordering::Relaxed);
-                        if matches!(run.outcome, PipelineOutcome::FastSettled { .. }) {
-                            fastpath_runs.fetch_add(1, Ordering::Relaxed);
-                        }
-                        let verdict = compress(&run);
-                        let cached = match verdict {
-                            BatchVerdict::Implied {
-                                derivation_steps,
-                                proof_firings,
-                            } => Some(CachedVerdict::Implied {
-                                derivation_steps,
-                                proof_firings,
-                            }),
-                            BatchVerdict::Refuted { model_rows } => {
-                                Some(CachedVerdict::Refuted { model_rows })
-                            }
-                            // Unknown depends on this call's budgets; it is
-                            // shared within the batch but never cached.
-                            BatchVerdict::Unknown { .. } => None,
-                        };
-                        if let Some(v) = cached {
-                            cache.insert(
-                                key,
-                                CachedOutcome {
-                                    verdict: v,
-                                    spend: run.spend,
-                                },
-                            );
-                        }
-                        solved_now
-                            .lock()
-                            .expect("batch result lock poisoned")
-                            .insert(key, verdict);
-                    }
-                    Ok(ItemOutcome::Settled(outcome)) => {
-                        solved_now
-                            .lock()
-                            .expect("batch result lock poisoned")
-                            .insert(key, from_cached(&outcome));
-                    }
-                    Err(e) => {
-                        first_error
-                            .lock()
-                            .expect("batch error lock poisoned")
-                            .get_or_insert(e);
-                        failed.cancel();
-                        return;
-                    }
-                }
-            });
-        }
-    });
-    if let Some(e) = first_error.into_inner().expect("batch error lock poisoned") {
-        return Err(e);
-    }
-
-    // Phase 4: fan results back out to input order. Every key is covered
-    // by construction: its first occurrence was either pinned from the
-    // cache in phase 2 or queued and answered in phase 3 (evictions
-    // cannot invalidate either map — they are per-call snapshots).
-    let solved_now = solved_now.into_inner().expect("batch result lock poisoned");
-    let mut verdicts = Vec::with_capacity(items.len());
-    for &key in &keys {
-        let verdict = solved_now
-            .get(&key)
-            .or_else(|| prewarmed.get(&key))
-            .copied()
-            .expect("every key was either solved this call or pinned from the cache");
-        verdicts.push(verdict);
-    }
-
-    let solved = runs.into_inner();
-    let stats = BatchStats {
-        total: items.len(),
-        unique: distinct.len(),
-        cache_hits: items.len() - solved,
-        solved,
-        fastpath: fastpath_runs.into_inner(),
-        evictions: cache.evictions() - evictions_before,
-    };
-    Ok(BatchRun {
-        verdicts,
-        keys,
-        stats,
-    })
-}
-
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, EngineConfig};
+    use crate::pipeline::Budgets;
     use td_semigroup::alphabet::Alphabet;
     use td_semigroup::equation::Equation;
+    use td_semigroup::presentation::Presentation;
+
+    /// An engine with its own cache, solving under `budgets` on a pool of
+    /// `jobs` workers.
+    fn engine(budgets: Budgets, jobs: usize) -> Engine {
+        Engine::with_config(EngineConfig {
+            budgets,
+            jobs,
+            ..EngineConfig::default()
+        })
+    }
 
     fn derivable() -> Presentation {
         let alphabet = Alphabet::standard(2);
@@ -431,8 +209,8 @@ mod tests {
             derivable(),
             refutable(),
         ];
-        let cache = DecisionCache::default();
-        let run = solve_batch(&items, &Budgets::default(), 2, &cache).unwrap();
+        let engine = engine(Budgets::default(), 2);
+        let run = engine.solve_batch(&items).unwrap();
         assert_eq!(run.verdicts.len(), 5);
         assert_eq!(run.keys[0], run.keys[2], "renamed copy shares the key");
         assert_eq!(run.keys[0], run.keys[3]);
@@ -442,11 +220,11 @@ mod tests {
         assert_eq!(run.stats.unique, 2);
         assert_eq!(run.stats.solved, 2);
         assert_eq!(run.stats.cache_hits, 3);
-        assert_eq!(cache.len(), 2, "both settled verdicts were cached");
+        assert_eq!(engine.cache().len(), 2, "both settled verdicts were cached");
 
         // The fanned-out verdicts agree with one-at-a-time solving.
         for (item, verdict) in items.iter().zip(&run.verdicts) {
-            let single = crate::pipeline::solve(item, &Budgets::default()).unwrap();
+            let single = Engine::new().run_full(item).unwrap();
             assert_eq!(*verdict, compress(&single));
         }
         assert!(matches!(run.verdicts[0], BatchVerdict::Implied { .. }));
@@ -457,10 +235,10 @@ mod tests {
     #[test]
     fn prewarmed_cache_skips_all_solving() {
         let items = vec![derivable(), derivable_renamed()];
-        let cache = DecisionCache::default();
-        let first = solve_batch(&items, &Budgets::default(), 1, &cache).unwrap();
+        let engine = engine(Budgets::default(), 1);
+        let first = engine.solve_batch(&items).unwrap();
         assert_eq!(first.stats.solved, 1);
-        let second = solve_batch(&items, &Budgets::default(), 1, &cache).unwrap();
+        let second = engine.solve_batch(&items).unwrap();
         assert_eq!(second.stats.solved, 0);
         assert_eq!(second.stats.cache_hits, 2);
         assert_eq!(first.verdicts, second.verdicts);
@@ -486,18 +264,20 @@ mod tests {
             chase: td_core::chase::ChaseBudget::default(),
         };
         let items = vec![p.clone(), p];
-        let cache = DecisionCache::default();
-        let run = solve_batch(&items, &tight, 2, &cache).unwrap();
+        let engine = engine(tight, 2);
+        let run = engine.solve_batch(&items).unwrap();
         assert!(matches!(run.verdicts[0], BatchVerdict::Unknown { .. }));
         assert_eq!(run.verdicts[0], run.verdicts[1], "shared within the call");
         assert_eq!(run.stats.solved, 1, "deduplicated within the call");
-        assert!(cache.is_empty(), "Unknown must not be cached across calls");
+        assert!(
+            engine.cache().is_empty(),
+            "Unknown must not be cached across calls"
+        );
     }
 
     #[test]
     fn empty_batch() {
-        let cache = DecisionCache::default();
-        let run = solve_batch(&[], &Budgets::default(), 4, &cache).unwrap();
+        let run = engine(Budgets::default(), 4).solve_batch(&[]).unwrap();
         assert!(run.verdicts.is_empty());
         assert_eq!(run.stats, BatchStats::default());
     }
@@ -505,8 +285,7 @@ mod tests {
     #[test]
     fn many_jobs_few_items() {
         let items = vec![derivable(), refutable()];
-        let cache = DecisionCache::default();
-        let run = solve_batch(&items, &Budgets::default(), 64, &cache).unwrap();
+        let run = engine(Budgets::default(), 64).solve_batch(&items).unwrap();
         assert_eq!(run.stats.solved, 2);
     }
 
@@ -536,15 +315,15 @@ mod tests {
             derivable(),
             refutable(),
         ];
-        let cache = DecisionCache::default();
-        let run = solve_batch(&items, &Budgets::default(), 1024, &cache).unwrap();
+        let engine = engine(Budgets::default(), 1024);
+        let run = engine.solve_batch(&items).unwrap();
         assert_eq!(run.stats.unique, 2);
         assert_eq!(run.stats.solved, 2, "one solve per distinct key");
         assert_eq!(run.stats.cache_hits, 3);
 
         // Second pass: everything prewarmed, the solver pool spawns no
         // threads at all, and the verdicts replay exactly.
-        let warm = solve_batch(&items, &Budgets::default(), 1024, &cache).unwrap();
+        let warm = engine.solve_batch(&items).unwrap();
         assert_eq!(warm.stats.solved, 0);
         assert_eq!(warm.stats.cache_hits, 5);
         assert_eq!(warm.verdicts, run.verdicts);

@@ -1,6 +1,7 @@
 //! A sharded, concurrent decision cache keyed by canonical forms.
 //!
-//! The batch pipeline ([`crate::batch::solve_batch`]) answers corpora of
+//! The engine ([`crate::engine::Engine::decide`],
+//! [`crate::engine::Engine::solve_batch`]) answers streams of
 //! implication questions in which many instances are isomorphic copies of
 //! each other. Once one copy is decided, every other copy has — provably —
 //! the same verdict: implication is invariant under per-column variable
@@ -13,7 +14,7 @@
 //! is a statement about the *budgets* of one particular call, not about the
 //! instance — a later call with larger budgets might settle it — so caching
 //! it would wrongly freeze a transient answer. (Within a single batch call,
-//! where budgets are fixed, [`crate::batch::solve_batch`] still dedups
+//! where budgets are fixed, [`crate::engine::Engine::solve_batch`] still dedups
 //! `Unknown` work through its own per-call bookkeeping.)
 //!
 //! The map is sharded `N` ways, each shard an independent

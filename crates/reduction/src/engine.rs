@@ -2,11 +2,9 @@
 //! cache, the budget policy, and the cumulative accounting that every
 //! entry point shares.
 //!
-//! Before this module existed, each entry point (`pipeline::solve`,
-//! `batch::solve_batch`, every `tdq` subcommand) rebuilt the
-//! canonicalization cache and budget plumbing per invocation and threw all
-//! warmth away between calls. The `Engine` inverts that: it is a
-//! thread-safe, long-lived object that requests flow *through*:
+//! The `Engine` is the one way to solve: a thread-safe, long-lived object
+//! that requests flow *through*, whether one-shot (`tdq wp`) or served
+//! (`tdq serve`):
 //!
 //! * a bounded, sharded [`DecisionCache`] keyed by
 //!   [`td_core::canon::CanonKey`] — verdicts survive across requests, so a
@@ -24,10 +22,11 @@
 //! * cumulative [`EngineStats`] counted on [`td_core::budget::Meter`]s —
 //!   requests, hits, solver runs, evictions, and total search spend.
 //!
-//! The one-shot paths are thin wrappers over an ephemeral engine
-//! ([`crate::pipeline::solve_with_opts`] constructs one per call), and the
-//! persistent paths (`tdq serve`, warm batch streams) hold one engine for
-//! the process lifetime — both execute exactly this code.
+//! Its three solving entry points — [`Engine::run_full`],
+//! [`Engine::decide_with`] and [`Engine::solve_batch`] — normalize and
+//! reduce each instance once and hand it to the pipeline's single
+//! executor; the single-flight gate is the only place a solve's verdict
+//! is written to the cache.
 
 // The engine is the shared request path of every serve worker: a panic
 // here poisons cross-request state (caches, the session registry). The
@@ -36,8 +35,8 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
-use std::time::Instant;
 
 use td_core::budget::{Cancellation, Meter};
 use td_core::canon::{canon_key, system_key, system_key_with, CanonKey, CANON_SCHEME_VERSION};
@@ -45,15 +44,13 @@ use td_core::chase::{ChaseBudget, ChaseEngine, ChaseOutcome, ChasePolicy, ChaseS
 use td_core::inference::{self, freeze, InferenceVerdict};
 use td_core::schema::Schema;
 use td_core::td::Td;
-use td_semigroup::normalize::{normalize, Normalized};
 use td_semigroup::presentation::Presentation;
 
-use crate::batch::{compress, from_cached, solve_batch_core, BatchRun, BatchVerdict, ItemOutcome};
+use crate::batch::{compress, from_cached, solver_pool_width, BatchRun, BatchStats, BatchVerdict};
 use crate::cache::{CachedOutcome, CachedVerdict, DecisionCache};
-use crate::deps::ReductionSystem;
 use crate::error::{RedError, Result};
 use crate::pipeline::{
-    solve_prepared, solve_with_opts_on, Budgets, PhaseTimings, PipelineOutcome, PipelineRun,
+    prepare, solve_prepared, Budgets, PhaseTimings, PipelineOutcome, PipelineRun, Prepared,
     SolveOptions, SpendReport,
 };
 
@@ -228,8 +225,9 @@ pub struct Decision {
     pub spend: SpendReport,
     /// `true` when the decision cache answered without running the solver.
     pub cached: bool,
-    /// Wall-clock phase timings of the solving run; all zero for a cache
-    /// hit.
+    /// Wall-clock phase timings of the request. A cache hit reports the
+    /// normalize and reduce phases it paid for keying, and its `total`;
+    /// its search and certificate phases are zero.
     pub timings: PhaseTimings,
 }
 
@@ -397,6 +395,17 @@ fn td_fingerprint(td: &Td) -> Vec<u64> {
     out
 }
 
+/// What the single-flight gate produced for one key: a pipeline run this
+/// caller executed, or a settled outcome already in the cache or produced
+/// by another flight while this caller waited.
+#[allow(clippy::large_enum_variant)] // Ran carries the full run by design; one per caller at a time
+enum ItemOutcome {
+    /// This caller ran the solver.
+    Ran(PipelineRun),
+    /// The cache answered.
+    Settled(CachedOutcome),
+}
+
 impl Default for Engine {
     fn default() -> Self {
         Self::new()
@@ -465,8 +474,7 @@ impl Engine {
     /// Fails when normalization or reduction rejects `p` (e.g. a
     /// presentation that is not reduction-ready after zero-saturation).
     pub fn canonical_key(p: &Presentation) -> Result<CanonKey> {
-        let normalized = normalize(&p.zero_saturated())?;
-        let system = crate::deps::build_system(&normalized.presentation)?;
+        let system = prepare(p)?.system;
         Ok(system_key(&system.deps, &system.d0))
     }
 
@@ -474,25 +482,17 @@ impl Engine {
     /// memo, keeping the intermediate products: the normalization and the
     /// reduction system built for keying are returned (with their phase
     /// timings) so a subsequent solve reuses them instead of rebuilding —
-    /// the decide path normalizes and reduces exactly once per request.
+    /// every request is normalized and reduced exactly once.
     ///
     /// Per-dependency keys of structurally identical TDs are reused across
     /// requests (see the `canon_memo` field docs), so the warm path of a
     /// duplicate-heavy stream pays fingerprint hashing instead of the full
     /// canonical search. Always returns the same key as the static path.
-    fn canonical_parts(
-        &self,
-        p: &Presentation,
-    ) -> Result<(CanonKey, Normalized, ReductionSystem, PhaseTimings)> {
-        let mut timings = PhaseTimings::default();
-        let t = Instant::now();
-        let normalized = normalize(&p.zero_saturated())?;
-        timings.normalize = t.elapsed();
-        let t = Instant::now();
-        let system = crate::deps::build_system(&normalized.presentation)?;
-        timings.reduce = t.elapsed();
+    fn canonical_parts(&self, p: &Presentation) -> Result<(CanonKey, Prepared)> {
+        let prepared = prepare(p)?;
+        let system = &prepared.system;
         let key = system_key_with(&system.deps, &system.d0, |td| self.memoized_canon_key(td));
-        Ok((key, normalized, system, timings))
+        Ok((key, prepared))
     }
 
     /// The [`canon_key`] of one TD, served from the memo when an exact
@@ -643,19 +643,27 @@ impl Engine {
         })
     }
 
-    fn record_spend(&self, spend: &SpendReport) {
+    /// Solves a prepared instance under `ticket` — the engine's one call
+    /// into the pipeline executor — and charges the run's spend and
+    /// solver count to the cumulative meters.
+    fn execute(&self, prepared: Prepared, ticket: &Ticket) -> Result<PipelineRun> {
+        let run = solve_prepared(prepared, &ticket.budgets, self.opts, ticket.cancellation())?;
         self.counters
             .derivation_states
-            .add(spend.derivation_states as u64);
-        self.counters.model_nodes.add(spend.model_nodes);
+            .add(run.spend.derivation_states as u64);
+        self.counters.model_nodes.add(run.spend.model_nodes);
+        self.counters.solved.add(1);
+        if matches!(run.outcome, PipelineOutcome::FastSettled { .. }) {
+            self.counters.fastpath_hits.add(1);
+        }
+        Ok(run)
     }
 
     /// Runs the full pipeline for one request — certificates and all —
     /// under a minted ticket. This path does **not** consult the decision
     /// cache (a cached verdict cannot reproduce the certificates the
     /// caller is asking for) but still counts toward the request and spend
-    /// accounting. `tdq wp`/`deps` and [`crate::pipeline::solve`] route
-    /// through here.
+    /// accounting. `tdq wp` routes through here.
     ///
     /// # Errors
     ///
@@ -665,13 +673,7 @@ impl Engine {
     pub fn run_full(&self, p: &Presentation) -> Result<PipelineRun> {
         self.counters.requests.add(1);
         let ticket = self.mint(None)?;
-        let run = solve_with_opts_on(p, &ticket.budgets, self.opts, ticket.cancellation())?;
-        self.record_spend(&run.spend);
-        self.counters.solved.add(1);
-        if matches!(run.outcome, PipelineOutcome::FastSettled { .. }) {
-            self.counters.fastpath_hits.add(1);
-        }
-        Ok(run)
+        self.execute(prepare(p)?, &ticket)
     }
 
     /// Decides one implication question through the cache: canonicalize,
@@ -703,21 +705,10 @@ impl Engine {
     ///
     /// Same as [`Engine::decide`].
     pub fn decide_with(&self, p: &Presentation, req: Option<RequestBudget>) -> Result<Decision> {
-        let t_total = Instant::now();
-        let (key, normalized, system, timings) = self.canonical_parts(p)?;
+        let (key, prepared) = self.canonical_parts(p)?;
         self.counters.requests.add(1);
-        match self.single_flight(key, move || {
-            let ticket = self.mint(req)?;
-            solve_prepared(
-                normalized,
-                system,
-                &ticket.budgets,
-                self.opts,
-                ticket.cancellation(),
-                timings,
-                t_total,
-            )
-        })? {
+        let (prefix, started) = (prepared.timings, prepared.started);
+        match self.single_flight(key, move || self.execute(prepared, &self.mint(req)?))? {
             ItemOutcome::Settled(hit) => {
                 self.counters.cache_hits.add(1);
                 Ok(Decision {
@@ -725,23 +716,19 @@ impl Engine {
                     verdict: from_cached(&hit),
                     spend: hit.spend,
                     cached: true,
-                    timings: PhaseTimings::default(),
+                    timings: PhaseTimings {
+                        total: started.elapsed(),
+                        ..prefix
+                    },
                 })
             }
-            ItemOutcome::Ran(run) => {
-                self.record_spend(&run.spend);
-                self.counters.solved.add(1);
-                if matches!(run.outcome, PipelineOutcome::FastSettled { .. }) {
-                    self.counters.fastpath_hits.add(1);
-                }
-                Ok(Decision {
-                    key,
-                    verdict: compress(&run),
-                    spend: run.spend,
-                    cached: false,
-                    timings: run.timings,
-                })
-            }
+            ItemOutcome::Ran(run) => Ok(Decision {
+                key,
+                verdict: compress(&run),
+                spend: run.spend,
+                cached: false,
+                timings: run.timings,
+            }),
         }
     }
 
@@ -803,36 +790,157 @@ impl Engine {
 
     /// Decides a whole batch through the engine: within-batch dedup by
     /// canonical key, cross-request warmth via the shared cache, and the
-    /// distinct remainder solved on the engine's worker pool. Semantics
-    /// are identical to [`crate::batch::solve_batch`]; this method
-    /// additionally charges the engine's cumulative stats, mints a ticket
-    /// per solved item so shutdown reaches batch workers too, and routes
-    /// each worker through the same single-flight gate as
-    /// [`Engine::decide`] — a batch item and a concurrent `decide` for
-    /// the same key share one solver run, keeping the accounting
-    /// deterministic.
+    /// distinct remainder solved on the engine's worker pool. Verdicts
+    /// come back in input order, and which instances get solved, every
+    /// verdict and the [`BatchStats`] are independent of thread
+    /// scheduling.
+    ///
+    /// Every instance is keyed through the same memoized canonicalization
+    /// as [`Engine::decide`], and a miss is solved from the normalization
+    /// and reduction system built for its key. Each solved item mints its
+    /// own ticket, so shutdown reaches batch workers too, and runs through
+    /// the same single-flight gate as [`Engine::decide`]: a batch item and
+    /// a concurrent `decide` for the same key share one solver run.
+    /// `Unknown` verdicts are shared within the call but never cached.
     ///
     /// # Errors
     ///
     /// Same as [`Engine::decide`]; the first failing item aborts the
-    /// batch.
+    /// batch, and a panicked worker surfaces as [`RedError::Poisoned`].
     pub fn solve_batch(&self, items: &[Presentation]) -> Result<BatchRun> {
-        let solve_item = |p: &Presentation, key: CanonKey| -> Result<ItemOutcome> {
-            let outcome = self.single_flight(key, || {
-                let ticket = self.mint(None)?;
-                solve_with_opts_on(p, &ticket.budgets, self.opts, ticket.cancellation())
-            })?;
-            if let ItemOutcome::Ran(run) = &outcome {
-                self.record_spend(&run.spend);
-            }
-            Ok(outcome)
+        let evictions_before = self.cache.evictions();
+        // Phase 1: key every instance — pure per-item work, spread over
+        // the pool in contiguous chunks so results keep the input order.
+        let workers = solver_pool_width(self.jobs, items.len());
+        let parts: Vec<(CanonKey, Prepared)> = if workers == 0 {
+            Vec::new()
+        } else {
+            let chunk_len = items.len().div_ceil(workers);
+            std::thread::scope(|s| {
+                let handles: Vec<_> = items
+                    .chunks(chunk_len)
+                    .map(|chunk| {
+                        s.spawn(move || {
+                            chunk
+                                .iter()
+                                .map(|p| self.canonical_parts(p))
+                                .collect::<Result<Vec<_>>>()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| {
+                        h.join()
+                            .map_err(|_| RedError::Poisoned("batch canonicalization worker"))?
+                    })
+                    .collect::<Result<Vec<Vec<_>>>>()
+            })?
+            .into_iter()
+            .flatten()
+            .collect()
         };
-        let run = solve_batch_core(items, self.jobs, &self.cache, &solve_item)?;
-        self.counters.requests.add(run.stats.total as u64);
-        self.counters.cache_hits.add(run.stats.cache_hits as u64);
-        self.counters.solved.add(run.stats.solved as u64);
-        self.counters.fastpath_hits.add(run.stats.fastpath as u64);
-        Ok(run)
+
+        // Phase 2: dedup to first occurrences, pinning pre-warmed verdicts
+        // *now* — on a shared bounded cache a concurrent writer could
+        // evict them before the fan-out. Only the misses keep their
+        // prepared instance.
+        let mut keys = Vec::with_capacity(parts.len());
+        let mut distinct: HashSet<CanonKey> = HashSet::new();
+        let mut answers: HashMap<CanonKey, BatchVerdict> = HashMap::new();
+        let mut to_solve: Vec<(CanonKey, Prepared)> = Vec::new();
+        for (key, prepared) in parts {
+            keys.push(key);
+            if distinct.insert(key) {
+                match self.cache.get(key) {
+                    Some(outcome) => {
+                        answers.insert(key, from_cached(&outcome));
+                    }
+                    None => to_solve.push((key, prepared)),
+                }
+            }
+        }
+
+        // Phase 3: the solver pool pulls misses from a shared queue. The
+        // first failing worker cancels the pool so the rest stop pulling
+        // work whose results would be discarded. `solved` counts the runs
+        // this call performed — an item settled by a concurrent flight
+        // while its worker waited is a cache hit, not a solve.
+        let solved = AtomicUsize::new(0);
+        let fastpath = AtomicUsize::new(0);
+        let failed = Cancellation::new();
+        let pool = solver_pool_width(self.jobs, to_solve.len());
+        let queue = Mutex::new(to_solve.into_iter());
+        let worker = || -> Result<Vec<(CanonKey, BatchVerdict)>> {
+            let mut out = Vec::new();
+            while !failed.is_cancelled() {
+                let next = queue
+                    .lock()
+                    .map_err(|_| RedError::Poisoned("batch work queue"))?
+                    .next();
+                let Some((key, prepared)) = next else {
+                    break;
+                };
+                let outcome = self.single_flight(key, || self.execute(prepared, &self.mint(None)?));
+                let verdict = match outcome {
+                    Ok(ItemOutcome::Ran(run)) => {
+                        solved.fetch_add(1, Ordering::Relaxed);
+                        if matches!(run.outcome, PipelineOutcome::FastSettled { .. }) {
+                            fastpath.fetch_add(1, Ordering::Relaxed);
+                        }
+                        compress(&run)
+                    }
+                    Ok(ItemOutcome::Settled(hit)) => from_cached(&hit),
+                    Err(e) => {
+                        failed.cancel();
+                        return Err(e);
+                    }
+                };
+                out.push((key, verdict));
+            }
+            Ok(out)
+        };
+        let found = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..pool).map(|_| s.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .map_err(|_| RedError::Poisoned("batch solver worker"))?
+                })
+                .collect::<Vec<Result<_>>>()
+        });
+        for verdicts in found {
+            answers.extend(verdicts?);
+        }
+
+        // Phase 4: fan the answers back out to input order. Every key's
+        // first occurrence was pinned in phase 2 or answered in phase 3.
+        let verdicts = keys
+            .iter()
+            .map(|key| {
+                answers
+                    .get(key)
+                    .copied()
+                    .ok_or(RedError::Poisoned("batch solver pool"))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let solved = solved.into_inner();
+        let stats = BatchStats {
+            total: items.len(),
+            unique: distinct.len(),
+            cache_hits: items.len() - solved,
+            solved,
+            fastpath: fastpath.into_inner(),
+            evictions: self.cache.evictions() - evictions_before,
+        };
+        self.counters.requests.add(stats.total as u64);
+        self.counters.cache_hits.add(stats.cache_hits as u64);
+        Ok(BatchRun {
+            verdicts,
+            keys,
+            stats,
+        })
     }
 
     /// Opens a named session. Fails if the id is already open; at the
@@ -1045,7 +1153,6 @@ impl Engine {
         // inside the chase loop.
         let mut engine = ChaseEngine::resume(&tds, chase.state, ChasePolicy::Restricted, budget)?
             .with_strategy(self.opts.strategy)
-            .with_parallelism(self.opts.parallelism)
             .with_cancellation(ticket.cancellation());
         let outcome = engine.run(Some(&chase.goal));
         let verdict = match outcome {
@@ -1100,12 +1207,11 @@ impl Engine {
         self.counters.requests.add(1);
         let mut verdicts = Vec::with_capacity(tds.len());
         for i in 0..tds.len() {
-            verdicts.push(inference::redundant_with_opts(
+            verdicts.push(inference::redundant_with(
                 tds,
                 i,
                 self.policy.base().chase,
                 self.opts.strategy,
-                self.opts.parallelism,
             )?);
         }
         Ok(verdicts)
@@ -1169,13 +1275,26 @@ mod tests {
         assert!(matches!(first.verdict, BatchVerdict::Implied { .. }));
 
         // The isomorphic copy is answered from the cache, same verdict and
-        // spend provenance, zero timings.
+        // spend provenance. Its timings cover the key prefix it paid for —
+        // normalize and reduce, within the total — and no search.
         let second = engine.decide(&derivable_renamed()).unwrap();
         assert!(second.cached);
         assert_eq!(second.key, first.key);
         assert_eq!(second.verdict, first.verdict);
         assert_eq!(second.spend, first.spend);
-        assert_eq!(second.timings, PhaseTimings::default());
+        let t = second.timings;
+        assert!(t.reduce > std::time::Duration::ZERO, "the hit reduced");
+        assert!(t.total >= t.normalize + t.reduce);
+        assert_eq!(
+            PhaseTimings {
+                normalize: t.normalize,
+                reduce: t.reduce,
+                total: t.total,
+                ..PhaseTimings::default()
+            },
+            t,
+            "search and certificate phases stay zero on a hit"
+        );
 
         let stats = engine.stats();
         assert_eq!(stats.requests, 2);

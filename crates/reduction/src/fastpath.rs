@@ -45,8 +45,7 @@
 //! prescreen never consults a shared cancellation token: its spend is
 //! bounded by its own deterministic [`FastBudget`] ticker, so the verdict,
 //! the check count, and the truncation label are all replay-exact — the
-//! property the portfolio's deterministic winner rule and the spend
-//! goldens rely on.
+//! property the spend reports and the spend goldens rely on.
 
 use td_core::axioms::{derivable_by_weakening_within, subsumes, subsumes_frozen};
 use td_core::budget::{Cancellation, Ticker};
@@ -555,11 +554,14 @@ mod tests {
             let pre = prescreen(&system, &FastBudget::default()).unwrap();
             let Some(verdict) = pre.verdict else { continue };
             assert!(replay(&system, &verdict).unwrap());
-            let oracle = crate::pipeline::solve_with(
-                &p,
-                &crate::pipeline::Budgets::default(),
-                crate::pipeline::SolveMode::Sequential,
-            )
+            let oracle = crate::engine::Engine::with_config(crate::engine::EngineConfig {
+                opts: crate::pipeline::SolveOptions {
+                    mode: crate::pipeline::SolveMode::Sequential,
+                    ..Default::default()
+                },
+                ..Default::default()
+            })
+            .run_full(&p)
             .unwrap();
             match verdict {
                 FastVerdict::Implied(_) => assert!(

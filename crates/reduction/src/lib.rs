@@ -19,18 +19,19 @@
 //! * **part (B)**: from a finite cancellation semigroup without identity
 //!   refuting `A₀ = 0`, the finite database `P ∪ Q` with relations (1)–(4)
 //!   that satisfies all of `D` but violates `D₀` — see [`part_b`];
-//! * an end-to-end [`pipeline`] and independent [`verify`] checkers
-//!   (including the proof's Facts 1 and 2);
-//! * a **batch layer** for corpora of instances: [`batch::solve_batch`]
-//!   dedups isomorphic questions by canonical key
-//!   ([`td_core::canon`]), answers the distinct remainder on a worker
-//!   pool, and records settled verdicts in a sharded, capacity-bounded
-//!   [`cache::DecisionCache`];
+//! * an end-to-end [`pipeline`] — one executor that races the derivation
+//!   search against the countermodel search — and independent [`verify`]
+//!   checkers (including the proof's Facts 1 and 2);
 //! * a **service layer**: the long-lived, thread-safe [`engine::Engine`]
-//!   owns the decision cache, a [`engine::BudgetPolicy`] minting
-//!   per-request tickets, and cumulative [`engine::EngineStats`] — every
-//!   entry point (one-shot [`pipeline::solve`], [`batch::solve_batch`],
-//!   the `tdq` CLI, `tdq serve`) routes through it.
+//!   is the one way to solve. It owns the sharded, capacity-bounded
+//!   [`cache::DecisionCache`], a [`engine::BudgetPolicy`] minting
+//!   per-request tickets, and cumulative [`engine::EngineStats`]; its
+//!   entry points are [`engine::Engine::run_full`] (full certificates),
+//!   [`engine::Engine::decide`] (through the cache) and
+//!   [`engine::Engine::solve_batch`], which dedups a corpus of instances
+//!   by canonical key ([`td_core::canon`]) and answers the distinct
+//!   remainder on a worker pool ([`batch`]). The `tdq` CLI and
+//!   `tdq serve` route through it.
 //!
 //! The two halves are the *content* of the undecidability theorem: any
 //! decision procedure for TD inference would decide the (undecidable,
@@ -57,7 +58,7 @@ pub mod verify;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::attrs::ReductionAttrs;
-    pub use crate::batch::{solve_batch, solve_batch_with, BatchRun, BatchStats, BatchVerdict};
+    pub use crate::batch::{BatchRun, BatchStats, BatchVerdict};
     pub use crate::bridge::Bridge;
     pub use crate::cache::{CachedOutcome, CachedVerdict, DecisionCache, DEFAULT_SHARD_CAPACITY};
     pub use crate::deps::{build_system, ReductionSystem, Rule, Rule2};
@@ -70,9 +71,7 @@ pub mod prelude {
     pub use crate::part_a::{prove_part_a, prove_part_a_with, prove_unguided};
     pub use crate::part_b::{build_counter_model, CounterModel, RowLabel};
     pub use crate::pipeline::{
-        portfolio_winner, run_portfolio, solve, solve_with, solve_with_opts, solve_with_opts_on,
-        Budgets, DerivationRacer, FastPath, FastPathRacer, LaneFound, LaneRun, LaneSpend,
-        ModelRacer, PhaseTimings, PipelineOutcome, PipelineRun, Racer, SolveMode, SolveOptions,
+        Budgets, FastPath, PhaseTimings, PipelineOutcome, PipelineRun, SolveMode, SolveOptions,
         SpendReport,
     };
     pub use crate::snapshot::{Snapshot, SnapshotError, SNAPSHOT_FORMAT_VERSION};

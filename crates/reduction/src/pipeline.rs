@@ -1,6 +1,10 @@
 //! The end-to-end pipeline: word problem → reduction → verdict.
 //!
-//! [`solve`] ties everything together:
+//! Every solve, one-shot or served, runs through
+//! [`crate::engine::Engine`] ([`crate::engine::Engine::run_full`] for the
+//! certificates, [`crate::engine::Engine::decide`] and
+//! [`crate::engine::Engine::solve_batch`] through the decision cache),
+//! and every one of them ends in this module's single executor:
 //!
 //! 1. zero-saturate and [`td_semigroup::normalize::normalize`] the input
 //!    presentation;
@@ -21,11 +25,10 @@
 //! The two searches certify mutually exclusive answers (a derivation makes
 //! `A₀ = 0` hold in *every* model, so no countermodel can exist), so
 //! nothing is learned by running the loser to completion. Under
-//! [`SolveMode::Racing`] — the default for [`solve`] — the two sides run
-//! on scoped threads sharing an early-exit flag: whichever finds its
-//! certificate first flips the flag and the other side backs out at its
-//! next poll ([`td_semigroup::derivation::search_derivation_cancellable`],
-//! [`td_semigroup::model_search::find_counter_model_cancellable`]).
+//! [`SolveMode::Racing`] — the default — the model side runs on a scoped
+//! thread and the derivation side on the calling thread, sharing the
+//! request's cancellation token: whichever finds its certificate first
+//! flips the token and the other side backs out at its next poll.
 //! [`SolveMode::Sequential`] preserves the historical
 //! derivation-then-model order on the calling thread; the differential
 //! property tests assert both modes return the same verdict.
@@ -33,9 +36,14 @@
 //! Every run also records wall-clock [`PhaseTimings`], which the `tdq`
 //! binary surfaces under `--timings`.
 
+// Every solve runs through this executor on a serve worker: a panic here
+// takes a request down with it. The td-lint panic-path pass enforces
+// panic-freedom lexically; the clippy pair keeps `cargo clippy` aligned.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use std::time::{Duration, Instant};
 
-use td_core::budget::{Cancellation, Parallelism};
+use td_core::budget::Cancellation;
 use td_core::chase::ChaseBudget;
 use td_core::homomorphism::MatchStrategy;
 use td_semigroup::cayley::{FiniteSemigroup, Interpretation};
@@ -48,9 +56,8 @@ use td_semigroup::model_search::{
 use td_semigroup::normalize::{normalize, Normalized};
 use td_semigroup::presentation::Presentation;
 
-pub use crate::batch::{solve_batch, BatchRun, BatchStats, BatchVerdict};
 use crate::deps::{build_system, ReductionSystem};
-use crate::error::Result;
+use crate::error::{RedError, Result};
 use crate::fastpath::{self, FastBudget, FastVerdict};
 use crate::part_a::{prove_part_a_with, PartAProof};
 use crate::part_b::{build_counter_model, CounterModel};
@@ -68,9 +75,9 @@ pub struct Budgets {
     pub chase: ChaseBudget,
 }
 
-/// Scheduling and matching choices for one [`solve_with_opts`] call,
-/// bundled so new knobs do not keep widening the signatures. The default
-/// races the two sides and matches with the indexed planner.
+/// Scheduling and matching choices for every solve an
+/// [`crate::engine::Engine`] runs. The default races the two sides and
+/// matches with the indexed planner.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveOptions {
     /// How the two certificate searches are scheduled.
@@ -79,11 +86,6 @@ pub struct SolveOptions {
     /// (certificate verification); `Naive` is the differential oracle
     /// surfaced on the CLI as `--strategy naive`.
     pub strategy: MatchStrategy,
-    /// Worker-team width for chase delta-trigger discovery (session
-    /// re-chases, redundancy checks — every unguided chase the engine
-    /// runs). Off by default; may never change a verdict, a proof, or a
-    /// golden byte (the differential suites pin the equality).
-    pub parallelism: Parallelism,
     /// Whether the axiom-driven fast path may settle this solve (see
     /// [`crate::fastpath`]). On by default under [`SolveMode::Racing`];
     /// [`SolveMode::Sequential`] ignores it entirely — the sequential
@@ -95,9 +97,8 @@ pub struct SolveOptions {
 /// Whether a solve may consult the axiom-driven fast path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FastPath {
-    /// Prescreen before the search race and keep the fastpath lane in the
-    /// portfolio (Racing mode only; the prescreen is a pure speed knob and
-    /// may never change a verdict).
+    /// Prescreen before the search race (Racing mode only; the prescreen
+    /// is a pure speed knob and may never change a verdict).
     #[default]
     Auto,
     /// Never consult the fast path — the baseline for benches
@@ -105,15 +106,16 @@ pub enum FastPath {
     Off,
 }
 
-/// How [`solve_with`] schedules the two certificate searches.
+/// How a solve schedules the two certificate searches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolveMode {
     /// Derivation search first, model search only if it fails — on the
     /// calling thread. Kept as the deterministic oracle for the
     /// differential tests.
     Sequential,
-    /// Both searches on scoped threads with a shared early-exit flag:
-    /// whichever certificate is found first wins and cancels the loser.
+    /// The model search on a scoped thread, the derivation search on the
+    /// calling thread, with a shared early-exit flag: whichever
+    /// certificate is found first wins and cancels the loser.
     #[default]
     Racing,
 }
@@ -137,11 +139,11 @@ pub struct PhaseTimings {
     /// Compiling and verifying the winning certificate (part (A) proof or
     /// part (B) countermodel); zero for `Unknown`.
     pub certificate: Duration,
-    /// End-to-end wall-clock time of [`solve_with`].
+    /// End-to-end wall-clock time of the request.
     pub total: Duration,
 }
 
-/// How much of each search budget a [`solve_with`] call actually spent —
+/// How much of each search budget a solve actually spent —
 /// the deterministic companion to [`PhaseTimings`].
 ///
 /// The two sides certify mutually exclusive answers, so exactly one of
@@ -185,49 +187,6 @@ pub struct SpendReport {
     /// skipped after a sequential win): `model_nodes` is then only a lower
     /// bound.
     pub model_truncated: bool,
-}
-
-/// One lane's worth of a [`SpendReport`] — the per-lane view the
-/// portfolio runner produces and diagnostics consume. `units` are
-/// lane-relative (derivation states for the derivation lane, search nodes
-/// for the model lane); `truncated` carries the same exact-vs-lower-bound
-/// contract as the flat report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneSpend {
-    /// The lane's stable label (see [`Racer::label`]).
-    pub lane: &'static str,
-    /// Work units the lane spent (exact unless `truncated`).
-    pub units: u64,
-    /// `true` when the lane did not run to its natural end, so `units`
-    /// is only a lower bound.
-    pub truncated: bool,
-}
-
-impl SpendReport {
-    /// The per-lane view of this report, in portfolio lane order —
-    /// fastpath, then derivation, then model: the tie-break order of the
-    /// runner. A `Vec` rather than a fixed-size array so adding a lane
-    /// (as this PR did) widens every consumer instead of silently
-    /// dropping data.
-    pub fn lanes(&self) -> Vec<LaneSpend> {
-        vec![
-            LaneSpend {
-                lane: "fastpath",
-                units: self.fastpath_checks,
-                truncated: self.fastpath_truncated,
-            },
-            LaneSpend {
-                lane: "derivation",
-                units: self.derivation_states as u64,
-                truncated: self.derivation_truncated,
-            },
-            LaneSpend {
-                lane: "model",
-                units: self.model_nodes,
-                truncated: self.model_truncated,
-            },
-        ]
-    }
 }
 
 /// The pipeline's verdict.
@@ -307,7 +266,6 @@ pub struct PipelineRun {
 
 /// What one side of the race produced, before certificate compilation.
 enum SideResult {
-    Fast(FastVerdict),
     Derivation(Derivation),
     Model(FiniteSemigroup, Interpretation),
     Neither {
@@ -384,408 +342,149 @@ fn search_sequential(
     })
 }
 
-/// A certificate the portfolio can win with. The variants mirror the
-/// certificate kinds of the reduction; new racer implementations must
-/// produce one of these.
-#[derive(Debug)]
-pub enum LaneFound {
-    /// A settled axiom-driven fast-path verdict with its replayable
-    /// reason (either side; see [`FastPathRacer`]).
-    Fast(FastVerdict),
-    /// A word-problem derivation `A₀ ⇒* 0` (the *implied* certificate).
-    Derivation(Derivation),
-    /// A finite cancellation countermodel (the *refuted* certificate).
-    Model(FiniteSemigroup, Interpretation),
-}
-
-/// What one portfolio lane brought back: its certificate (if it won its
-/// own search), the work units it spent, and its wall-clock time.
-#[derive(Debug)]
-pub struct LaneRun {
-    /// The certificate, if this lane found one before backing out.
-    pub found: Option<LaneFound>,
-    /// Lane-relative work units (derivation states, model-search nodes).
-    /// Exact when the lane ran to its natural end, a lower bound when it
-    /// was cancelled mid-search.
-    pub units: u64,
-    /// Wall-clock time the lane ran for, including any cancelled prefix.
-    pub elapsed: Duration,
-}
-
-/// One lane of the solver portfolio: a budgeted certificate search that
-/// polls the shared [`Cancellation`] token and backs out when another
-/// lane has already won. Each racer owns its budget rung, which is the
-/// hook for budget-laddered portfolios (several rungs of the same search
-/// at increasing budgets racing one another).
+/// Races the two certificate searches: the model side on one scoped
+/// thread, the derivation side on the calling thread, both polling
+/// `cancel`. A side that finds its certificate flips the token, and the
+/// other backs out at its next poll.
 ///
-/// Implementations must be `Sync`: the portfolio runner shares each racer
-/// across the scoped team by reference.
-pub trait Racer: Sync {
-    /// Stable diagnostic label (also the `lane` field of [`LaneSpend`]).
-    fn label(&self) -> &'static str;
-
-    /// Runs the lane's search over `np`, observing `cancel`.
-    ///
-    /// # Errors
-    ///
-    /// Implementation-defined; a failed lane fails the whole portfolio
-    /// run (searches report *not found* via [`LaneRun::found`], never
-    /// through an error).
-    fn run(&self, np: &Presentation, cancel: &Cancellation) -> Result<LaneRun>;
-}
-
-/// The derivation lane: BFS for `A₀ ⇒* 0` under its budget rung.
-#[derive(Debug, Clone, Copy)]
-pub struct DerivationRacer {
-    /// This lane's budget rung.
-    pub budget: SearchBudget,
-}
-
-impl Racer for DerivationRacer {
-    fn label(&self) -> &'static str {
-        "derivation"
-    }
-
-    fn run(&self, np: &Presentation, cancel: &Cancellation) -> Result<LaneRun> {
-        let t = Instant::now();
-        let r = search_goal_derivation_tracked(np, &self.budget, cancel);
-        let found = match r.result {
-            SearchResult::Found(derivation) => Some(LaneFound::Derivation(derivation)),
-            SearchResult::ExhaustedWithinBound { .. } | SearchResult::BudgetExhausted { .. } => {
-                None
-            }
-        };
-        Ok(LaneRun {
-            found,
-            units: r.states as u64,
-            elapsed: t.elapsed(),
-        })
-    }
-}
-
-/// The fast-path lane: the staged axiom-driven prescreen
-/// ([`crate::fastpath::prescreen`]) run as a portfolio racer, so a rule
-/// can win a solve in microseconds before either search warms up.
+/// The winner rule does not depend on which thread finished first: the
+/// derivation wins whenever it found a certificate, otherwise the model
+/// side's countermodel does. A double win is impossible mathematically
+/// (a derivation makes `A₀ = 0` hold in every model), and the order
+/// matches the sequential oracle. The winner's spend is exact; the
+/// loser's is labelled truncated in the [`SpendReport`], since its value
+/// depends on when its cancellation poll fired. If both sides exhaust,
+/// neither was cancelled and both spends equal the sequential ones.
 ///
-/// This is the one lane that **never observes the shared race token**: its
-/// work is bounded by its own deterministic [`FastBudget`] ticker, and
-/// whether it settles must not depend on when another lane happened to
-/// win — otherwise the winner index, and with it the spend labels, would
-/// be a scheduling accident. Consequence: an externally pre-cancelled
-/// portfolio can still be won by this lane (a certain verdict computed in
-/// microseconds is returned, not discarded).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FastPathRacer {
-    /// The prescreen's deterministic spend caps.
-    pub budget: FastBudget,
-}
-
-impl Racer for FastPathRacer {
-    fn label(&self) -> &'static str {
-        "fastpath"
-    }
-
-    fn run(&self, np: &Presentation, _cancel: &Cancellation) -> Result<LaneRun> {
-        let t = Instant::now();
-        let system = build_system(np)?;
-        let pre = fastpath::prescreen(&system, &self.budget)?;
-        Ok(LaneRun {
-            found: pre.verdict.map(LaneFound::Fast),
-            units: pre.checks,
-            elapsed: t.elapsed(),
-        })
-    }
-}
-
-/// The model lane: analytic families first, then the cancellable
-/// backtracking search, under its budget rung.
-#[derive(Debug, Clone, Copy)]
-pub struct ModelRacer {
-    /// This lane's budget rung.
-    pub opts: ModelSearchOptions,
-}
-
-impl Racer for ModelRacer {
-    fn label(&self) -> &'static str {
-        "model"
-    }
-
-    fn run(&self, np: &Presentation, cancel: &Cancellation) -> Result<LaneRun> {
-        let t = Instant::now();
-        let side = model_side(np, &self.opts, cancel)?;
-        Ok(LaneRun {
-            found: side.found.map(|(g, interp)| LaneFound::Model(g, interp)),
-            units: side.nodes,
-            elapsed: t.elapsed(),
-        })
-    }
-}
-
-/// Runs an N-lane solver portfolio: every lane on its own scoped thread,
-/// all sharing `cancel`. A lane that finds a certificate flips the token;
-/// the others back out at their next poll. Returns one [`LaneRun`] per
-/// lane, in lane order.
-///
-/// Winner selection is deterministic regardless of which thread finished
-/// first on the wall clock: take the **lowest-indexed** lane with a
-/// certificate (see [`portfolio_winner`]). Certificates of opposite kinds
-/// are mutually exclusive mathematically, so a cross-kind double win is
-/// impossible; same-kind double wins (budget-laddered rungs of one
-/// search) resolve to the earliest rung. `cancel` may also be flipped by
-/// an external holder (engine shutdown), in which case every lane backs
-/// out and no lane wins.
+/// `cancel` is the request's token. Normally it starts fresh and is
+/// flipped by the winner; an external holder (the engine's shutdown
+/// path) may also flip it, and then both sides back out with no winner.
 ///
 /// # Errors
 ///
-/// Fails if any lane fails (see [`Racer::run`]); lane errors take
-/// precedence over certificates found by other lanes.
-pub fn run_portfolio(
-    np: &Presentation,
-    lanes: &[&dyn Racer],
-    cancel: &Cancellation,
-) -> Result<Vec<LaneRun>> {
-    let results: Vec<Result<LaneRun>> = std::thread::scope(|s| {
-        let handles: Vec<_> = lanes
-            .iter()
-            .map(|lane| {
-                s.spawn(move || {
-                    let run = lane.run(np, cancel);
-                    if matches!(run, Ok(LaneRun { found: Some(_), .. })) {
-                        cancel.cancel();
-                    }
-                    run
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("portfolio lane panicked"))
-            .collect()
-    });
-    results.into_iter().collect()
-}
-
-/// Deterministic winner selection for a portfolio: the lowest-indexed
-/// lane holding a certificate. Takes the certificate out of its
-/// [`LaneRun`] (the spend fields stay behind).
-pub fn portfolio_winner(runs: &mut [LaneRun]) -> Option<(usize, LaneFound)> {
-    runs.iter_mut()
-        .enumerate()
-        .find_map(|(i, r)| r.found.take().map(|f| (i, f)))
-}
-
-/// Races the certificate searches as a portfolio — the fastpath lane
-/// first (when enabled), then derivation, then model, so the
-/// deterministic winner selection prefers the cheap rule-based settle,
-/// then the derivation side on the mathematically impossible double win,
-/// matching the sequential order. The winner's spend is exact; a
-/// cancelled loser's is labelled truncated in the [`SpendReport`] — its
-/// precise value depends on when the cancellation poll fired and must be
-/// read as a lower bound. If every lane exhausts, none is cancelled and
-/// the spent budgets are exactly the sequential ones.
-///
-/// The fastpath lane's found-or-bailed answer never depends on the shared
-/// token (see [`FastPathRacer`]), so the winner index is deterministic
-/// even though three threads race on the wall clock. In-tree this lane is
-/// preceded by the stage-0 prescreen of [`solve_prepared`], which settles
-/// eligible solves *before* the portfolio spawns — and, on a bail, drops
-/// the lane from its own portfolio call (re-running a deterministic bail
-/// buys nothing). The lane stays in [`run_portfolio`]'s vocabulary so
-/// direct composers that skipped stage 0 get the same microsecond win.
-///
-/// `cancel` is the shared race token. Normally it starts fresh and is
-/// flipped by the winning lane; an *external* holder (the engine's
-/// shutdown path) may also flip it, in which case the search lanes back
-/// out at their next poll.
+/// Fails when the model search fails, and with [`RedError::Poisoned`]
+/// when its thread panicked.
 fn search_racing(
     np: &Presentation,
     budgets: &Budgets,
-    fast: Option<FastBudget>,
     timings: &mut PhaseTimings,
     spend: &mut SpendReport,
     cancel: &Cancellation,
 ) -> Result<SideResult> {
-    let fastpath = fast.map(|budget| FastPathRacer { budget });
-    let derivation = DerivationRacer {
-        budget: budgets.derivation,
-    };
-    let model = ModelRacer {
-        opts: budgets.model,
-    };
-    let mut lanes: Vec<&dyn Racer> = Vec::with_capacity(3);
-    if let Some(f) = &fastpath {
-        lanes.push(f);
-    }
-    lanes.push(&derivation);
-    lanes.push(&model);
-    let mut runs = run_portfolio(np, &lanes, cancel)?;
-    let winner = portfolio_winner(&mut runs);
-    // Lane indices shift by one when the fastpath lane is in the
-    // portfolio; the classic two always sit last.
-    let d = runs.len() - 2;
-    if fastpath.is_some() {
-        timings.fastpath = runs[0].elapsed;
-        spend.fastpath_checks = runs[0].units;
-    }
-    timings.derivation = runs[d].elapsed;
-    timings.model = runs[d + 1].elapsed;
-    spend.derivation_states = usize::try_from(runs[d].units).unwrap_or(usize::MAX);
-    spend.model_nodes = runs[d + 1].units;
-    Ok(match winner {
-        Some((_, LaneFound::Fast(verdict))) => {
-            spend.derivation_truncated = true;
-            spend.model_truncated = true;
-            SideResult::Fast(verdict)
+    let (deriv, deriv_elapsed, model) = std::thread::scope(|s| {
+        let model = s.spawn(|| -> Result<(ModelSide, Duration)> {
+            let t = Instant::now();
+            let side = model_side(np, &budgets.model, cancel)?;
+            if side.found.is_some() {
+                cancel.cancel();
+            }
+            Ok((side, t.elapsed()))
+        });
+        let t = Instant::now();
+        let deriv = search_goal_derivation_tracked(np, &budgets.derivation, cancel);
+        let elapsed = t.elapsed();
+        if matches!(deriv.result, SearchResult::Found(_)) {
+            cancel.cancel();
         }
-        Some((_, LaneFound::Derivation(derivation))) => {
+        (deriv, elapsed, model.join())
+    });
+    let (side, model_elapsed) = model.map_err(|_| RedError::Poisoned("model search thread"))??;
+    timings.derivation = deriv_elapsed;
+    timings.model = model_elapsed;
+    spend.derivation_states = deriv.states;
+    spend.model_nodes = side.nodes;
+    Ok(match (deriv.result, side.found) {
+        (SearchResult::Found(derivation), _) => {
             spend.model_truncated = true;
             SideResult::Derivation(derivation)
         }
-        Some((_, LaneFound::Model(g, interp))) => {
+        (_, Some((g, interp))) => {
             spend.derivation_truncated = true;
             SideResult::Model(g, interp)
         }
-        None => SideResult::Neither {
-            derivation_states: spend.derivation_states,
-            model_nodes: spend.model_nodes,
+        (_, None) => SideResult::Neither {
+            derivation_states: deriv.states,
+            model_nodes: side.nodes,
         },
     })
 }
 
-/// Runs the full pipeline on a raw presentation, racing the two sides
-/// ([`SolveMode::Racing`]). Routed through an ephemeral
-/// [`crate::engine::Engine`] so the one-shot path and the long-lived
-/// service path are the same code.
-///
-/// # Errors
-///
-/// Fails when normalization, reduction, certificate compilation, or
-/// certificate verification fails; an inconclusive search is **not** an
-/// error (it is reported as [`PipelineOutcome::Unknown`]).
-pub fn solve(p: &Presentation, budgets: &Budgets) -> Result<PipelineRun> {
-    solve_with(p, budgets, SolveMode::default())
+/// A normalized and reduced instance, ready for [`solve_prepared`]: what
+/// the engine builds once per request, keys, and on a miss hands to the
+/// solver instead of rebuilding it.
+#[derive(Debug)]
+pub(crate) struct Prepared {
+    pub(crate) normalized: Normalized,
+    pub(crate) system: ReductionSystem,
+    /// The `normalize` and `reduce` phases; every other phase is zero.
+    pub(crate) timings: PhaseTimings,
+    /// When the request started: the origin of `timings.total`.
+    pub(crate) started: Instant,
 }
 
-/// Runs the full pipeline on a raw presentation under an explicit
-/// [`SolveMode`]. Both modes return the same verdict (enforced by the
-/// differential property tests); racing wins wall-clock time whenever the
-/// refutable side settles first.
+/// Zero-saturates, normalizes and reduces `p`, timing both phases.
 ///
 /// # Errors
 ///
-/// Same as [`solve`].
-pub fn solve_with(p: &Presentation, budgets: &Budgets, mode: SolveMode) -> Result<PipelineRun> {
-    solve_with_opts(
-        p,
-        budgets,
-        SolveOptions {
-            mode,
-            ..SolveOptions::default()
-        },
-    )
-}
-
-/// Runs the full pipeline under explicit [`SolveOptions`] (scheduling mode
-/// plus homomorphism strategy). Neither option may change a verdict — the
-/// differential tests pin that — so they exist for performance and for
-/// oracle-vs-planner debugging runs (`tdq wp --strategy naive`).
-///
-/// This is a thin wrapper: it builds a single-request
-/// [`crate::engine::Engine`] and calls [`crate::engine::Engine::run_full`],
-/// so every solve — one-shot or served — executes the same engine code.
-///
-/// # Errors
-///
-/// Same as [`solve`].
-pub fn solve_with_opts(
-    p: &Presentation,
-    budgets: &Budgets,
-    opts: SolveOptions,
-) -> Result<PipelineRun> {
-    crate::engine::Engine::with_config(crate::engine::EngineConfig {
-        budgets: *budgets,
-        opts,
-        ..crate::engine::EngineConfig::default()
-    })
-    .run_full(p)
-}
-
-/// The raw pipeline executor: normalize → reduce → search (under the given
-/// scheduling mode, observing `cancel`) → compile/verify the certificate.
-///
-/// `cancel` is the request's cooperative-cancellation ticket: under
-/// [`SolveMode::Racing`] the winning side flips it to stop the loser, and
-/// an external holder (the engine's shutdown path) may flip it at any time
-/// to wind the whole request down — the run then reports
-/// [`PipelineOutcome::Unknown`] with the spend accumulated so far. Callers
-/// that want plain one-shot semantics pass a fresh token.
-///
-/// # Errors
-///
-/// Same as [`solve`].
-pub fn solve_with_opts_on(
-    p: &Presentation,
-    budgets: &Budgets,
-    opts: SolveOptions,
-    cancel: &Cancellation,
-) -> Result<PipelineRun> {
-    let t_total = Instant::now();
+/// Fails when normalization or reduction rejects `p`.
+pub(crate) fn prepare(p: &Presentation) -> Result<Prepared> {
+    let started = Instant::now();
     let mut timings = PhaseTimings::default();
-
-    let t = Instant::now();
-    let saturated = p.zero_saturated();
-    let normalized = normalize(&saturated)?;
-    timings.normalize = t.elapsed();
-
+    let normalized = normalize(&p.zero_saturated())?;
+    timings.normalize = started.elapsed();
     let t = Instant::now();
     let system = build_system(&normalized.presentation)?;
     timings.reduce = t.elapsed();
-
-    solve_prepared(normalized, system, budgets, opts, cancel, timings, t_total)
+    Ok(Prepared {
+        normalized,
+        system,
+        timings,
+        started,
+    })
 }
 
-/// The pipeline tail: search (under the given scheduling mode, observing
-/// `cancel`) → compile/verify the certificate, over an already normalized
-/// and reduced instance. The engine calls this directly so the reduction
-/// system built during canonical-key extraction is solved, not rebuilt.
+/// The one executor every solve runs through: search (under the given
+/// scheduling mode, observing `cancel`) → compile and verify the
+/// certificate, over an already normalized and reduced instance.
 ///
 /// Stage 0 is the axiom-driven fast path: under [`SolveMode::Racing`] with
-/// [`FastPath::Auto`], [`fastpath::prescreen`] runs synchronously before
-/// any search thread spawns. A settled verdict returns
-/// [`PipelineOutcome::FastSettled`] with **zero** chase/model spend (both
-/// searches are reported truncated: they never started). The sequential
-/// mode skips the prescreen entirely so it stays the pure oracle the
-/// differential tests compare against.
+/// [`FastPath::Auto`], [`fastpath::prescreen`] runs before the race
+/// starts. A settled verdict returns [`PipelineOutcome::FastSettled`] with
+/// **zero** chase/model spend (both searches are reported truncated: they
+/// never started). The sequential mode skips the prescreen entirely so it
+/// stays the pure oracle the differential tests compare against.
+///
+/// `cancel` is the request's cooperative-cancellation ticket: under
+/// [`SolveMode::Racing`] the winning side flips it to stop the loser, and
+/// the engine's shutdown path may flip it at any time to wind the request
+/// down — the run then reports [`PipelineOutcome::Unknown`] with the spend
+/// accumulated so far.
+///
+/// # Errors
+///
+/// Fails when certificate compilation or verification fails, or when the
+/// model search thread panicked; an inconclusive search is **not** an
+/// error (it is reported as [`PipelineOutcome::Unknown`]).
 pub(crate) fn solve_prepared(
-    normalized: Normalized,
-    system: ReductionSystem,
+    prepared: Prepared,
     budgets: &Budgets,
     opts: SolveOptions,
     cancel: &Cancellation,
-    mut timings: PhaseTimings,
-    t_total: Instant,
 ) -> Result<PipelineRun> {
-    let mode = opts.mode;
+    let Prepared {
+        normalized,
+        system,
+        mut timings,
+        started,
+    } = prepared;
     let np = &normalized.presentation;
-    let fast = match (mode, opts.fastpath) {
-        (SolveMode::Racing, FastPath::Auto) => Some(FastBudget::default()),
-        _ => None,
-    };
-
     let mut spend = SpendReport::default();
-    let mut lane_budget = fast;
-    if let Some(budget) = fast {
+    if let (SolveMode::Racing, FastPath::Auto) = (opts.mode, opts.fastpath) {
         let t = Instant::now();
-        let pre = fastpath::prescreen(&system, &budget)?;
+        let pre = fastpath::prescreen(&system, &FastBudget::default())?;
         timings.fastpath = t.elapsed();
         spend.fastpath_checks = pre.checks;
         spend.fastpath_truncated = pre.truncated;
-        // A bail is deterministic: the portfolio's fastpath lane would
-        // re-run the exact same prescreen to the exact same bail, so it
-        // is dropped from this solve — the lane exists for direct
-        // [`run_portfolio`] composers that skipped stage 0. The recorded
-        // stage-0 spend stands.
-        lane_budget = None;
         if let Some(verdict) = pre.verdict {
             debug_assert!(
                 fastpath::replay(&system, &verdict).unwrap_or(false),
@@ -795,7 +494,7 @@ pub(crate) fn solve_prepared(
             // truncation, mirroring the racing report's labelling.
             spend.derivation_truncated = true;
             spend.model_truncated = true;
-            timings.total = t_total.elapsed();
+            timings.total = started.elapsed();
             return Ok(PipelineRun {
                 normalized,
                 system,
@@ -806,22 +505,13 @@ pub(crate) fn solve_prepared(
         }
     }
 
-    let side = match mode {
+    let side = match opts.mode {
         SolveMode::Sequential => search_sequential(np, budgets, &mut timings, &mut spend, cancel)?,
-        SolveMode::Racing => {
-            search_racing(np, budgets, lane_budget, &mut timings, &mut spend, cancel)?
-        }
+        SolveMode::Racing => search_racing(np, budgets, &mut timings, &mut spend, cancel)?,
     };
 
     let t = Instant::now();
     let outcome = match side {
-        SideResult::Fast(verdict) => {
-            debug_assert!(
-                fastpath::replay(&system, &verdict).unwrap_or(false),
-                "fastpath reason failed to replay: {verdict:?}"
-            );
-            PipelineOutcome::FastSettled { verdict }
-        }
         SideResult::Derivation(derivation) => {
             let proof = prove_part_a_with(&system, np, &derivation, opts.strategy)?;
             PipelineOutcome::Implied { derivation, proof }
@@ -846,7 +536,7 @@ pub(crate) fn solve_prepared(
     if !matches!(outcome, PipelineOutcome::Unknown { .. }) {
         timings.certificate = t.elapsed();
     }
-    timings.total = t_total.elapsed();
+    timings.total = started.elapsed();
 
     Ok(PipelineRun {
         normalized,
@@ -858,8 +548,10 @@ pub(crate) fn solve_prepared(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, EngineConfig};
     use td_semigroup::alphabet::Alphabet;
     use td_semigroup::equation::Equation;
 
@@ -876,9 +568,32 @@ mod tests {
         Presentation::new(Alphabet::standard(1), vec![]).unwrap()
     }
 
+    /// A full run through a one-request engine under explicit budgets and
+    /// options.
+    fn run_with(p: &Presentation, budgets: Budgets, opts: SolveOptions) -> PipelineRun {
+        Engine::with_config(EngineConfig {
+            budgets,
+            opts,
+            ..EngineConfig::default()
+        })
+        .run_full(p)
+        .unwrap()
+    }
+
+    fn run(p: &Presentation) -> PipelineRun {
+        run_with(p, Budgets::default(), SolveOptions::default())
+    }
+
+    fn mode(mode: SolveMode) -> SolveOptions {
+        SolveOptions {
+            mode,
+            ..SolveOptions::default()
+        }
+    }
+
     #[test]
     fn derivable_instances_come_out_implied() {
-        let run = solve(&derivable(), &Budgets::default()).unwrap();
+        let run = run(&derivable());
         match &run.outcome {
             PipelineOutcome::Implied { derivation, proof } => {
                 assert!(!derivation.is_empty());
@@ -894,7 +609,7 @@ mod tests {
         // Default (racing) path: the fast-path refutation probe settles
         // the empty presentation before either search starts, with a
         // replayable reason.
-        let run = solve(&refutable(), &Budgets::default()).unwrap();
+        let run = run(&refutable());
         match &run.outcome {
             PipelineOutcome::FastSettled { verdict } => {
                 assert!(!verdict.is_implied());
@@ -910,7 +625,7 @@ mod tests {
             fastpath: FastPath::Off,
             ..SolveOptions::default()
         };
-        let run = solve_with_opts(&refutable(), &Budgets::default(), opts).unwrap();
+        let run = run_with(&refutable(), Budgets::default(), opts);
         match &run.outcome {
             PipelineOutcome::Refuted { model, report } => {
                 assert!(report.ok());
@@ -927,7 +642,7 @@ mod tests {
         let alphabet = Alphabet::new(["A0", "B", "C", "0"], "A0", "0").unwrap();
         let eq = Equation::parse("B C B = A0", &alphabet).unwrap();
         let p = Presentation::new(alphabet, vec![eq]).unwrap();
-        let run = solve(&p, &Budgets::default()).unwrap();
+        let run = run(&p);
         // Fresh symbols mean more attributes: n grows beyond 4.
         assert!(run.system.attrs.alphabet().len() > 4);
         assert!(run.system.attrs.arity() == 2 * run.system.attrs.alphabet().len() + 2);
@@ -946,8 +661,8 @@ mod tests {
     fn spend_reports_are_deterministic_across_modes() {
         // Won race, derivation side: winner's states exact in both modes.
         let p = derivable();
-        let seq = solve_with(&p, &Budgets::default(), SolveMode::Sequential).unwrap();
-        let raced = solve_with(&p, &Budgets::default(), SolveMode::Racing).unwrap();
+        let seq = run_with(&p, Budgets::default(), mode(SolveMode::Sequential));
+        let raced = run_with(&p, Budgets::default(), mode(SolveMode::Racing));
         assert!(seq.outcome.is_implied() && raced.outcome.is_implied());
         assert!(!seq.spend.derivation_truncated);
         assert!(!raced.spend.derivation_truncated);
@@ -968,8 +683,8 @@ mod tests {
         // searches trivially truncated — they never ran). Sequential is
         // the pure oracle: it never consults the fast path.
         let p = refutable();
-        let seq = solve_with(&p, &Budgets::default(), SolveMode::Sequential).unwrap();
-        let raced = solve_with(&p, &Budgets::default(), SolveMode::Racing).unwrap();
+        let seq = run_with(&p, Budgets::default(), mode(SolveMode::Sequential));
+        let raced = run_with(&p, Budgets::default(), mode(SolveMode::Racing));
         assert!(seq.outcome.is_refuted() && raced.outcome.is_refuted());
         assert!(matches!(raced.outcome, PipelineOutcome::FastSettled { .. }));
         assert!(raced.spend.fastpath_checks > 0);
@@ -984,18 +699,17 @@ mod tests {
             "sequentially the derivation side ran to exhaustion first"
         );
 
-        // Racing with the fast path off reproduces the classic two-lane
-        // race: model side wins via the analytic shortcut (0 nodes, exact).
-        let off = solve_with_opts(
+        // Racing with the fast path off is the plain two-sided race: the
+        // model side wins via the analytic shortcut (0 nodes, exact).
+        let off = run_with(
             &p,
-            &Budgets::default(),
+            Budgets::default(),
             SolveOptions {
                 mode: SolveMode::Racing,
                 fastpath: FastPath::Off,
                 ..SolveOptions::default()
             },
-        )
-        .unwrap();
+        );
         assert!(off.outcome.is_refuted());
         assert!(!off.spend.model_truncated);
         assert_eq!(seq.spend.model_nodes, off.spend.model_nodes);
@@ -1021,8 +735,8 @@ mod tests {
             },
             chase: ChaseBudget::default(),
         };
-        let seq = solve_with(&p, &tight, SolveMode::Sequential).unwrap();
-        let raced = solve_with(&p, &tight, SolveMode::Racing).unwrap();
+        let seq = run_with(&p, tight, mode(SolveMode::Sequential));
+        let raced = run_with(&p, tight, mode(SolveMode::Racing));
         let unknown = |run: &PipelineRun| match run.outcome {
             PipelineOutcome::Unknown {
                 derivation_states,
@@ -1040,120 +754,62 @@ mod tests {
         }
     }
 
-    /// Portfolio determinism regression: replaying the same race must
-    /// yield the same winner and the same spend, run after run — winner
-    /// selection is by lane index, never by wall-clock finish order.
+    /// Race determinism regression: replaying the same race must yield
+    /// the same winner and the same spend, run after run — the winner
+    /// rule never depends on wall-clock finish order.
     #[test]
     fn portfolio_replays_deterministically() {
         for p in [derivable(), refutable()] {
-            let reference = solve(&p, &Budgets::default()).unwrap();
+            let reference = run(&p);
             for _ in 0..5 {
-                let replay = solve(&p, &Budgets::default()).unwrap();
+                let replay = run(&p);
                 assert_eq!(
                     std::mem::discriminant(&replay.outcome),
                     std::mem::discriminant(&reference.outcome),
                     "winner changed on replay"
                 );
-                // The winning lane's spend is exact, hence identical on
-                // every replay; compare through the per-lane view.
-                let (reference_lanes, replay_lanes) =
-                    (reference.spend.lanes(), replay.spend.lanes());
-                for (a, b) in reference_lanes.iter().zip(replay_lanes.iter()) {
-                    assert_eq!(a.lane, b.lane);
-                    assert_eq!(a.truncated, b.truncated, "lane {} label flapped", a.lane);
-                    if !a.truncated {
-                        assert_eq!(a.units, b.units, "exact lane {} spend flapped", a.lane);
-                    }
+                // Every truncation label is deterministic, and every
+                // spend not labelled truncated is exact.
+                let (a, b) = (reference.spend, replay.spend);
+                assert_eq!(a.fastpath_checks, b.fastpath_checks);
+                assert_eq!(a.fastpath_truncated, b.fastpath_truncated);
+                assert_eq!(a.derivation_truncated, b.derivation_truncated);
+                assert_eq!(a.model_truncated, b.model_truncated);
+                if !a.derivation_truncated {
+                    assert_eq!(a.derivation_states, b.derivation_states);
+                }
+                if !a.model_truncated {
+                    assert_eq!(a.model_nodes, b.model_nodes);
                 }
             }
         }
     }
 
-    /// The N-way hook: a budget-laddered portfolio with two derivation
-    /// rungs (starved and full) plus the model lane. The starved rung
-    /// cannot find the certificate, the full rung can — and the
-    /// deterministic winner is the lowest-indexed lane that found one,
-    /// independent of scheduling.
-    #[test]
-    fn laddered_three_lane_portfolio_picks_lowest_winning_lane() {
-        let p = derivable();
-        let saturated = p.zero_saturated();
-        let normalized = normalize(&saturated).unwrap();
-        let np = &normalized.presentation;
-
-        let starved = DerivationRacer {
-            budget: td_semigroup::derivation::SearchBudget {
-                max_word_len: 1,
-                max_states: 1,
-            },
-        };
-        let full = DerivationRacer {
-            budget: SearchBudget::default(),
-        };
-        let model = ModelRacer {
-            opts: ModelSearchOptions::default(),
-        };
-        for _ in 0..5 {
-            let cancel = Cancellation::new();
-            let mut runs = run_portfolio(np, &[&starved, &full, &model], &cancel).unwrap();
-            assert_eq!(runs.len(), 3);
-            let (winner_lane, found) = portfolio_winner(&mut runs).expect("the full rung must win");
-            assert_eq!(winner_lane, 1, "the starved rung cannot have won");
-            assert!(matches!(found, LaneFound::Derivation(_)));
-            assert!(cancel.is_cancelled(), "the winner flips the shared token");
-        }
-    }
-
-    /// The per-lane spend view mirrors the flat report field for field
-    /// and keeps the runner's lane order.
-    #[test]
-    fn lane_spend_view_matches_flat_report() {
-        let run = solve(&derivable(), &Budgets::default()).unwrap();
-        let lanes = run.spend.lanes();
-        let [fastpath, derivation, model] = &lanes[..] else {
-            panic!("three lanes, in runner order: {lanes:?}");
-        };
-        assert_eq!(fastpath.lane, "fastpath");
-        assert_eq!(fastpath.units, run.spend.fastpath_checks);
-        assert_eq!(fastpath.truncated, run.spend.fastpath_truncated);
-        assert_eq!(FastPathRacer::default().label(), fastpath.lane);
-        assert_eq!(derivation.lane, "derivation");
-        assert_eq!(derivation.units, run.spend.derivation_states as u64);
-        assert_eq!(derivation.truncated, run.spend.derivation_truncated);
-        assert_eq!(model.lane, "model");
-        assert_eq!(model.units, run.spend.model_nodes);
-        assert_eq!(model.truncated, run.spend.model_truncated);
-        // Labels agree with the racers that produced the lanes.
-        assert_eq!(
-            DerivationRacer {
-                budget: SearchBudget::default()
-            }
-            .label(),
-            derivation.lane
-        );
-        assert_eq!(
-            ModelRacer {
-                opts: ModelSearchOptions::default()
-            }
-            .label(),
-            model.lane
-        );
-    }
-
-    /// An externally pre-cancelled token makes every lane back out:
-    /// no winner, and the solve honestly reports `Unknown`.
+    /// Engine shutdown flips an in-flight request's ticket: both sides of
+    /// the race back out, no side wins, and the solve honestly reports
+    /// `Unknown`. New requests are refused outright.
     #[test]
     fn pre_cancelled_portfolio_has_no_winner() {
-        let p = derivable();
-        let cancel = Cancellation::new();
-        cancel.cancel();
-        let run =
-            solve_with_opts_on(&p, &Budgets::default(), SolveOptions::default(), &cancel).unwrap();
+        let engine = Engine::new();
+        let ticket = engine.mint(None).unwrap();
+        engine.shutdown();
+        assert!(ticket.cancellation().is_cancelled());
+        let run = solve_prepared(
+            prepare(&derivable()).unwrap(),
+            &ticket.budgets,
+            engine.opts(),
+            ticket.cancellation(),
+        )
+        .unwrap();
         assert!(
             matches!(run.outcome, PipelineOutcome::Unknown { .. }),
             "{:?}",
             run.outcome
         );
+        assert!(matches!(
+            engine.run_full(&derivable()),
+            Err(RedError::ShutDown)
+        ));
     }
 
     #[test]
@@ -1164,7 +820,7 @@ mod tests {
         let alphabet = Alphabet::standard(1);
         let eq = Equation::parse("A0 = 0", &alphabet).unwrap();
         let p = Presentation::new(alphabet, vec![eq]).unwrap();
-        let run = solve(&p, &Budgets::default()).unwrap();
+        let run = run(&p);
         assert!(run.outcome.is_implied(), "{:?}", run.outcome);
     }
 }

@@ -25,7 +25,10 @@ fn main() {
             .unwrap();
     print!("{derivable}");
 
-    let run = solve(&derivable, &Budgets::default()).unwrap();
+    // Every solve runs through an `Engine`; `run_full` returns the
+    // certificates themselves rather than a cached verdict.
+    let engine = Engine::new();
+    let run = engine.run_full(&derivable).unwrap();
     let report = structural_report(&run.system);
     println!(
         "reduction: {} symbols -> {} attributes (2n+2), {} rules -> {} dependencies, \
@@ -65,7 +68,17 @@ fn main() {
     let refutable = td_semigroup::parser::parse("alphabet A0 0\nzerosat\n").unwrap();
     print!("{refutable}");
 
-    let run = solve(&refutable, &Budgets::default()).unwrap();
+    // The default engine's fast path would settle this instance with a
+    // probe reason before any search; switch it off to get the part (B)
+    // countermodel itself.
+    let full = Engine::with_config(EngineConfig {
+        opts: SolveOptions {
+            fastpath: FastPath::Off,
+            ..SolveOptions::default()
+        },
+        ..EngineConfig::default()
+    });
+    let run = full.run_full(&refutable).unwrap();
     match &run.outcome {
         PipelineOutcome::Refuted { model, report } => {
             println!(

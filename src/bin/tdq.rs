@@ -21,11 +21,11 @@ const USAGE: &str = "\
 tdq — template-dependency query tool
 
 USAGE:
-    tdq deps [--timings] [--strategy S] [--format F] [--parallel N] FILE
+    tdq deps [--timings] [--strategy S] [--format F] FILE
                                     analyse a dependency file (schema/td/eid/row lines)
-    tdq wp [--timings] [--strategy S] [--format F] [--parallel N] FILE
+    tdq wp [--timings] [--strategy S] [--format F] FILE
                                     solve a word-problem instance (alphabet/eq lines)
-    tdq batch [--jobs N] [--parallel N] [--cache-stats] [--strategy S]
+    tdq batch [--jobs N] [--cache-stats] [--strategy S]
               [--cache-cap N] [--cache-load PATH] [--cache-save PATH] FILE
                                     decide a JSONL corpus of word-problem instances,
                                     deduplicated by canonical key (one JSON line out
@@ -56,10 +56,6 @@ OPTIONS:
                     envelope. For `wp` and `deps` only
     --jobs N        worker threads for the batch solver pool and the serve
                     connection pool (default: available parallelism)
-    --parallel N    intra-solve worker threads for the chase's semi-naive
-                    trigger discovery (default 1 = sequential; N <= 1
-                    disables). Verdicts, proofs and output bytes are
-                    identical at every width — this is a speed knob only
     --cache-stats   append a JSON stats line ({\"total\",\"unique\",\"cache_hits\",
                     \"solved\",\"jobs\"}) after the batch verdicts
     --cache-cap N   decision-cache capacity per shard for batch/serve
@@ -119,35 +115,16 @@ fn parse_format(v: &str) -> Result<Format, String> {
     }
 }
 
-/// Parses a `--parallel` value: the chase-internal worker width. `N <= 1`
-/// means sequential discovery (the byte-identity oracle path).
-fn parse_parallel(v: &str) -> Result<Parallelism, String> {
-    let n: usize = v
-        .parse()
-        .map_err(|_| format!("--parallel: invalid worker count `{v}`"))?;
-    Ok(if n <= 1 {
-        Parallelism::Off
-    } else {
-        Parallelism::Threads(n)
-    })
-}
-
 /// One engine per `tdq` invocation: every solving subcommand routes
 /// through it, so the one-shot CLI and the persistent `serve` mode are
 /// the same code path.
-fn build_engine(
-    strategy: MatchStrategy,
-    parallelism: Parallelism,
-    jobs: Option<usize>,
-    cache_cap: Option<usize>,
-) -> Engine {
-    build_engine_with(strategy, parallelism, jobs, cache_cap, None)
+fn build_engine(strategy: MatchStrategy, jobs: Option<usize>, cache_cap: Option<usize>) -> Engine {
+    build_engine_with(strategy, jobs, cache_cap, None)
 }
 
 /// `build_engine` plus the serve-only session-registry bound.
 fn build_engine_with(
     strategy: MatchStrategy,
-    parallelism: Parallelism,
     jobs: Option<usize>,
     cache_cap: Option<usize>,
     max_sessions: Option<usize>,
@@ -155,7 +132,6 @@ fn build_engine_with(
     let mut config = EngineConfig {
         opts: SolveOptions {
             strategy,
-            parallelism,
             ..SolveOptions::default()
         },
         ..EngineConfig::default()
@@ -270,15 +246,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let parallel = match take_value_flag(&mut args, "--parallel")
-        .and_then(|v| v.as_deref().map(parse_parallel).transpose())
-    {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("tdq: {msg}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
     let (cmd, path) = match args.as_slice() {
         [cmd, path] => (cmd.as_str(), path.as_str()),
         [cmd] if cmd == "help" || cmd == "--help" || cmd == "-h" => {
@@ -302,13 +269,8 @@ fn main() -> ExitCode {
         eprintln!("tdq: --format is not supported for `{cmd}`\n{USAGE}");
         return ExitCode::from(2);
     }
-    if parallel.is_some() && !matches!(cmd, "deps" | "wp") {
-        eprintln!("tdq: --parallel is not supported for `{cmd}`\n{USAGE}");
-        return ExitCode::from(2);
-    }
     let strategy = strategy.unwrap_or_default();
     let format = format.unwrap_or_default();
-    let parallel = parallel.unwrap_or_default();
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -317,8 +279,8 @@ fn main() -> ExitCode {
         }
     };
     let result = match cmd {
-        "deps" => cmd_deps(&text, timings, strategy, format, parallel),
-        "wp" => cmd_wp(&text, timings, strategy, format, parallel),
+        "deps" => cmd_deps(&text, timings, strategy, format),
+        "wp" => cmd_wp(&text, timings, strategy, format),
         "normalize" => cmd_normalize(&text),
         "reduce" => cmd_reduce(&text),
         other => {
@@ -351,9 +313,8 @@ fn cmd_deps(
     timings: bool,
     strategy: MatchStrategy,
     format: Format,
-    parallel: Parallelism,
 ) -> Result<(), String> {
-    let engine = build_engine(strategy, parallel, None, None);
+    let engine = build_engine(strategy, None, None);
     if format == Format::Json {
         use template_deps::jsonl::Json;
         let t_parse = std::time::Instant::now();
@@ -442,9 +403,8 @@ fn cmd_wp(
     timings: bool,
     strategy: MatchStrategy,
     format: Format,
-    parallel: Parallelism,
 ) -> Result<(), String> {
-    let engine = build_engine(strategy, parallel, None, None);
+    let engine = build_engine(strategy, None, None);
     if format == Format::Json {
         use template_deps::jsonl::Json;
         let p = td_semigroup::parser::parse(text).map_err(|e| json_error(&e.to_string()))?;
@@ -526,31 +486,17 @@ fn cmd_wp(
              model {:.2?}, certificate {:.2?}, total {:.2?} (derivation and model race on threads)",
             t.normalize, t.reduce, t.fastpath, t.derivation, t.model, t.certificate, t.total
         );
-        // One clause per portfolio lane, in lane order, each in its own
-        // work unit — sourced from `lanes()` so a new lane shows up here
-        // without another hand-maintained format string.
-        let unit = |lane: &str| match lane {
-            "fastpath" => "checks",
-            "derivation" => "words",
-            "model" => "nodes",
-            _ => "units",
-        };
         let label = |truncated: bool| if truncated { "truncated" } else { "exact" };
-        let clauses: Vec<String> = run
-            .spend
-            .lanes()
-            .iter()
-            .map(|l| {
-                format!(
-                    "{} {} {} ({})",
-                    l.lane,
-                    l.units,
-                    unit(l.lane),
-                    label(l.truncated)
-                )
-            })
-            .collect();
-        println!("spend: {}", clauses.join(", "));
+        let s = &run.spend;
+        println!(
+            "spend: fastpath {} checks ({}), derivation {} words ({}), model {} nodes ({})",
+            s.fastpath_checks,
+            label(s.fastpath_truncated),
+            s.derivation_states,
+            label(s.derivation_truncated),
+            s.model_nodes,
+            label(s.model_truncated)
+        );
     }
     Ok(())
 }
@@ -565,7 +511,6 @@ fn parse_batch_line(line: &str, line_no: usize) -> Result<(String, Presentation)
 
 fn cmd_batch(args: &[String]) -> Result<(), String> {
     let mut jobs: Option<usize> = None;
-    let mut parallel = Parallelism::default();
     let mut cache_cap: Option<usize> = None;
     let mut cache_stats = false;
     let mut strategy = MatchStrategy::default();
@@ -581,10 +526,6 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
                     v.parse()
                         .map_err(|_| format!("--jobs: invalid worker count `{v}`"))?,
                 );
-            }
-            "--parallel" => {
-                let v = it.next().ok_or("--parallel needs a number")?;
-                parallel = parse_parallel(v)?;
             }
             "--cache-cap" => {
                 let v = it.next().ok_or("--cache-cap needs a number")?;
@@ -648,7 +589,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         ));
     }
 
-    let engine = build_engine(strategy, parallel, jobs, cache_cap);
+    let engine = build_engine(strategy, jobs, cache_cap);
     if let Some(p) = &load_path {
         cache_load(&engine, p)?;
     }
@@ -681,7 +622,6 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut jobs: Option<usize> = None;
-    let mut parallel = Parallelism::default();
     let mut cache_cap: Option<usize> = None;
     let mut max_sessions: Option<usize> = None;
     let mut strategy = MatchStrategy::default();
@@ -733,10 +673,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                         .map_err(|_| format!("--jobs: invalid worker count `{v}`"))?,
                 );
             }
-            "--parallel" => {
-                let v = it.next().ok_or("--parallel needs a number")?;
-                parallel = parse_parallel(v)?;
-            }
             "--cache-cap" => {
                 let v = it.next().ok_or("--cache-cap needs a number")?;
                 cache_cap = Some(
@@ -761,7 +697,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if flush_every.is_some() && save_path.is_none() {
         return Err("--cache-flush-every needs --cache-save PATH".to_owned());
     }
-    let engine = build_engine_with(strategy, parallel, jobs, cache_cap, max_sessions);
+    let engine = build_engine_with(strategy, jobs, cache_cap, max_sessions);
     if let Some(p) = &load_path {
         cache_load(&engine, p)?;
     }

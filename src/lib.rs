@@ -43,8 +43,8 @@
 //!     "alphabet A0 A1 0\neq A1 A1 = A0\neq A1 A1 = 0\nzerosat\n",
 //! ).unwrap();
 //!
-//! // Run the full reduction pipeline.
-//! let run = solve(&p, &Budgets::default()).unwrap();
+//! // Run the full reduction pipeline through the solving engine.
+//! let run = Engine::new().run_full(&p).unwrap();
 //! assert!(run.outcome.is_implied()); // D ⊨ D0, with a replayable proof
 //! ```
 //!

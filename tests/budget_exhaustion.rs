@@ -6,10 +6,12 @@
 //! to exhaustion here, asserting that the spent-budget report comes back
 //! populated (not zeroed, not defaulted).
 
+mod common;
+
+use common::run_mode;
 use td_bench::relabel_chain;
 use template_deps::prelude::*;
 use template_deps::td_core::inference::{implies, InferenceVerdict};
-use template_deps::td_reduction::pipeline::{solve_with, PipelineOutcome, SolveMode};
 use template_deps::td_semigroup::derivation::SearchBudget;
 use template_deps::td_semigroup::model_search::ModelSearchOptions;
 
@@ -135,7 +137,7 @@ fn derivation_state_budget_reports_spent_states() {
         },
         chase: ChaseBudget::default(),
     };
-    let run = solve_with(&hard_for_tiny_budgets(), &budgets, SolveMode::Sequential).unwrap();
+    let run = run_mode(&hard_for_tiny_budgets(), budgets, SolveMode::Sequential);
     match run.outcome {
         PipelineOutcome::Unknown {
             derivation_states,
@@ -167,7 +169,7 @@ fn model_search_node_cap_reports_spent_nodes() {
         },
         chase: ChaseBudget::default(),
     };
-    let run = solve_with(&hard_for_tiny_budgets(), &budgets, SolveMode::Sequential).unwrap();
+    let run = run_mode(&hard_for_tiny_budgets(), budgets, SolveMode::Sequential);
     match run.outcome {
         PipelineOutcome::Unknown {
             derivation_states,
@@ -197,8 +199,8 @@ fn raced_unknown_reports_identical_spent_budgets() {
         chase: ChaseBudget::default(),
     };
     let p = hard_for_tiny_budgets();
-    let seq = solve_with(&p, &budgets, SolveMode::Sequential).unwrap();
-    let raced = solve_with(&p, &budgets, SolveMode::Racing).unwrap();
+    let seq = run_mode(&p, budgets, SolveMode::Sequential);
+    let raced = run_mode(&p, budgets, SolveMode::Racing);
     match (&seq.outcome, &raced.outcome) {
         (
             PipelineOutcome::Unknown {
@@ -222,7 +224,7 @@ fn raced_unknown_reports_identical_spent_budgets() {
 #[test]
 fn unknown_is_a_budget_artifact_here() {
     let p = hard_for_tiny_budgets();
-    let run = solve_with(&p, &Budgets::default(), SolveMode::Racing).unwrap();
+    let run = run_mode(&p, Budgets::default(), SolveMode::Racing);
     assert!(
         run.outcome.is_implied(),
         "relabel_chain(8) is derivable by construction: {:?}",

@@ -85,10 +85,9 @@ fn check_golden_named(args: &[&str], fixture: &str, name: &str) {
 }
 
 /// Replaces every wall-clock duration on `timings:` lines with `_`,
-/// keeping the phase/lane labels and punctuation intact. Spend lines are
-/// left alone — check/word/node counts are deterministic and *should* be
-/// pinned. The parallel-smoke CI job applies the same scrub with `sed`
-/// before diffing against the golden.
+/// keeping the phase labels and punctuation intact. Spend lines are left
+/// alone — check/word/node counts are deterministic and *should* be
+/// pinned.
 fn scrub_timings(stdout: &str) -> String {
     let mut out = String::with_capacity(stdout.len());
     for line in stdout.lines() {
@@ -287,41 +286,15 @@ fn session_lifecycle_golden() {
     );
 }
 
-/// A scripted `serve --stdio` session exercising the parallelism surfaces:
-/// a wp solve, the Σ-session chase (the path where `--parallel` fans
-/// delta-trigger discovery across threads), the opt-in `"jobs":true`
-/// stats field pinning the effective worker-pool width, and shutdown.
-/// Pinned at `--jobs 2` with sequential discovery; the differential test
-/// below replays it at `--parallel 4` against the same bytes.
+/// A scripted `serve --stdio` session exercising the worker-pool surfaces:
+/// a wp solve, the Σ-session chase, the opt-in `"jobs":true` stats field
+/// pinning the effective worker-pool width, and shutdown. Pinned at
+/// `--jobs 2`; `serve-smoke` CI diffs the same fixture through a release
+/// `tdq`.
 #[test]
 fn serve_parallel_golden() {
     check_golden_stdin(
         &["serve", "--stdio", "--jobs", "2"],
-        "serve_parallel.jsonl",
-        "serve_parallel",
-    );
-}
-
-/// `--parallel` must never change an answer or a byte of output: parallel
-/// delta-trigger discovery replays the `wp`, `batch`, and serve fixtures
-/// against the *same* goldens as sequential discovery. This is the CLI
-/// face of the chase's merge-in-sequential-order determinism guarantee.
-#[test]
-fn parallel_discovery_matches_default_goldens() {
-    check_golden_named(&["wp", "--parallel", "4"], "wp_implied.txt", "wp_implied");
-    check_golden_named(&["wp", "--parallel", "4"], "wp_refuted.txt", "wp_refuted");
-    check_golden_scrubbed(
-        &["wp", "--timings", "--parallel", "4"],
-        "wp_fastpath.txt",
-        "wp_fastpath",
-    );
-    check_golden_named(
-        &["batch", "--jobs", "2", "--parallel", "4", "--cache-stats"],
-        "batch_small.jsonl",
-        "batch_small",
-    );
-    check_golden_stdin(
-        &["serve", "--stdio", "--jobs", "2", "--parallel", "4"],
         "serve_parallel.jsonl",
         "serve_parallel",
     );

@@ -1,6 +1,9 @@
 //! End-to-end integration: the Main Theorem's two sides, exercised across
 //! all three crates, with every certificate independently verified.
 
+mod common;
+
+use common::run_with;
 use template_deps::prelude::*;
 use template_deps::td_core::inference;
 use template_deps::td_reduction::verify::structural_report;
@@ -48,7 +51,7 @@ fn solve_full(p: &Presentation) -> PipelineRun {
         fastpath: FastPath::Off,
         ..SolveOptions::default()
     };
-    solve_with_opts(p, &Budgets::default(), opts).unwrap()
+    run_with(p, Budgets::default(), opts)
 }
 
 #[test]
@@ -57,7 +60,7 @@ fn derivable_battery() {
         let p = parse_presentation(text).unwrap();
         // The default tier must settle the right side; when the fast path
         // takes it, the reason must replay.
-        let fast = solve(&p, &Budgets::default()).unwrap();
+        let fast = Engine::new().run_full(&p).unwrap();
         assert!(fast.outcome.is_implied(), "{name}: {:?}", fast.outcome);
         if let PipelineOutcome::FastSettled { verdict } = &fast.outcome {
             assert!(replay(&fast.system, verdict).unwrap(), "{name}");
@@ -86,7 +89,7 @@ fn refutable_battery() {
     for (name, text) in refutable_instances() {
         let p = parse_presentation(text).unwrap();
         // Default tier: correct side, replayable reason when fast-settled.
-        let fast = solve(&p, &Budgets::default()).unwrap();
+        let fast = Engine::new().run_full(&p).unwrap();
         assert!(fast.outcome.is_refuted(), "{name}: {:?}", fast.outcome);
         if let PipelineOutcome::FastSettled { verdict } = &fast.outcome {
             assert!(replay(&fast.system, verdict).unwrap(), "{name}");
@@ -117,7 +120,7 @@ fn refutable_battery() {
 fn unguided_inference_agrees_on_derivable_instances() {
     for (name, text) in derivable_instances() {
         let p = parse_presentation(text).unwrap();
-        let run = solve(&p, &Budgets::default()).unwrap();
+        let run = Engine::new().run_full(&p).unwrap();
         let budget = ChaseBudget {
             max_steps: 20_000,
             max_rows: 20_000,
@@ -143,7 +146,7 @@ fn unguided_inference_agrees_on_derivable_instances() {
 fn unguided_inference_sound_on_refutable_instances() {
     for (name, text) in refutable_instances() {
         let p = parse_presentation(text).unwrap();
-        let run = solve(&p, &Budgets::default()).unwrap();
+        let run = Engine::new().run_full(&p).unwrap();
         let budget = ChaseBudget {
             max_steps: 2_000,
             max_rows: 2_000,
@@ -167,7 +170,7 @@ fn unguided_inference_sound_on_refutable_instances() {
 #[test]
 fn proofs_fail_against_wrong_dependency_sets() {
     let p = parse_presentation("alphabet A0 A1 0\neq A1 A1 = A0\neq A1 A1 = 0\nzerosat\n").unwrap();
-    let run = solve(&p, &Budgets::default()).unwrap();
+    let run = Engine::new().run_full(&p).unwrap();
     let PipelineOutcome::Implied { proof, .. } = &run.outcome else {
         panic!("derivable");
     };
@@ -181,11 +184,9 @@ fn proofs_fail_against_wrong_dependency_sets() {
         .is_err());
     // Replaying against a *different* reduction system (same indices,
     // different dependencies) must also be rejected.
-    let other = solve(
-        &parse_presentation("alphabet A0 A1 0\nzerosat\n").unwrap(),
-        &Budgets::default(),
-    )
-    .unwrap();
+    let other = Engine::new()
+        .run_full(&parse_presentation("alphabet A0 A1 0\nzerosat\n").unwrap())
+        .unwrap();
     assert!(proof
         .proof
         .verify(&proof.frozen, &other.system.deps, Some(&proof.goal))
@@ -201,7 +202,7 @@ fn verdicts_are_exclusive() {
         .chain(refutable_instances())
     {
         let p = parse_presentation(text).unwrap();
-        let run = solve(&p, &Budgets::default()).unwrap();
+        let run = Engine::new().run_full(&p).unwrap();
         let implied = run.outcome.is_implied();
         let refuted = run.outcome.is_refuted();
         assert!(implied ^ refuted, "every battery instance must resolve");
@@ -214,7 +215,7 @@ fn verdicts_are_exclusive() {
 fn scaling_families_resolve() {
     for k in 1..=5 {
         let p = td_bench::relabel_chain(k);
-        let run = solve(&p, &Budgets::default()).unwrap();
+        let run = Engine::new().run_full(&p).unwrap();
         let PipelineOutcome::Implied { derivation, proof } = &run.outcome else {
             panic!("relabel_chain({k}) must be implied");
         };
@@ -226,7 +227,7 @@ fn scaling_families_resolve() {
         let p = td_bench::product_chain(k);
         let mut budgets = Budgets::default();
         budgets.derivation.max_word_len = k + 2;
-        let run = solve(&p, &budgets).unwrap();
+        let run = run_with(&p, budgets, SolveOptions::default());
         let PipelineOutcome::Implied { derivation, proof } = &run.outcome else {
             panic!("product_chain({k}) must be implied");
         };
@@ -243,7 +244,7 @@ fn scaling_families_resolve() {
 #[test]
 fn reduction_is_tight_without_the_contraction_rule() {
     let p = parse_presentation("alphabet A0 A1 0\neq A1 A1 = A0\neq A1 A1 = 0\nzerosat\n").unwrap();
-    let run = solve(&p, &Budgets::default()).unwrap();
+    let run = Engine::new().run_full(&p).unwrap();
     assert!(run.outcome.is_implied(), "sanity: the full set implies D0");
     // Remove D1(A1 A1 = 0) — rule index 1, dependency k=1.
     let cut = run.system.dep_index(1, 1);

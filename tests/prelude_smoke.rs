@@ -33,7 +33,7 @@ fn prelude_spans_all_three_crates() {
     assert_eq!(derivation.len(), 2);
 
     // td_reduction: the full pipeline agrees and certifies.
-    let run = solve(&p, &Budgets::default()).unwrap();
+    let run = Engine::new().run_full(&p).unwrap();
     let PipelineOutcome::Implied { proof, .. } = &run.outcome else {
         panic!("expected Implied, got {:?}", run.outcome);
     };
@@ -90,7 +90,7 @@ fn prelude_covers_the_refuted_side() {
 
     // td_reduction: the default tier settles this on the refuted side via
     // the fast path (also a prelude export), with a replayable reason.
-    let fast = solve(&p, &Budgets::default()).unwrap();
+    let fast = Engine::new().run_full(&p).unwrap();
     assert!(fast.outcome.is_refuted(), "{:?}", fast.outcome);
     if let PipelineOutcome::FastSettled { verdict } = &fast.outcome {
         assert!(replay(&fast.system, verdict).unwrap());
@@ -102,7 +102,12 @@ fn prelude_covers_the_refuted_side() {
         fastpath: FastPath::Off,
         ..SolveOptions::default()
     };
-    let run = solve_with_opts(&p, &Budgets::default(), opts).unwrap();
+    let run = Engine::with_config(EngineConfig {
+        opts,
+        ..EngineConfig::default()
+    })
+    .run_full(&p)
+    .unwrap();
     let PipelineOutcome::Refuted { model, report } = &run.outcome else {
         panic!("zero-only instance must be refuted, got {:?}", run.outcome);
     };

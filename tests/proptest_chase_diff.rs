@@ -13,13 +13,15 @@
 //!   the same spent budgets when both sides exhaust, since a cancellation
 //!   can only happen after a certificate was found).
 
+mod common;
+
+use common::run_mode;
 use proptest::prelude::*;
 use template_deps::prelude::*;
 use template_deps::td_core::homomorphism::{match_all_with, MatchStrategy};
 use template_deps::td_core::ids::{AttrId, Var};
 use template_deps::td_core::inference::{implies_with_strategy, InferenceVerdict};
 use template_deps::td_core::td::TdRow;
-use template_deps::td_reduction::pipeline::{solve_with, PipelineOutcome, SolveMode};
 use template_deps::td_semigroup::alphabet::Alphabet;
 use template_deps::td_semigroup::derivation::SearchBudget;
 use template_deps::td_semigroup::equation::Equation;
@@ -205,8 +207,8 @@ proptest! {
     #[test]
     fn sequential_and_raced_pipelines_agree(p in arb_presentation()) {
         let budgets = small_budgets();
-        let seq = solve_with(&p, &budgets, SolveMode::Sequential).unwrap();
-        let raced = solve_with(&p, &budgets, SolveMode::Racing).unwrap();
+        let seq = run_mode(&p, budgets, SolveMode::Sequential);
+        let raced = run_mode(&p, budgets, SolveMode::Racing);
         match (&seq.outcome, &raced.outcome) {
             // The raced side may fast-settle (`FastSettled`) where the
             // sequential oracle produced a full certificate — same verdict,

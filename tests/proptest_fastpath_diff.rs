@@ -12,6 +12,9 @@
 //!   (the searches never started), and the prescreen's own spend is
 //!   deterministic across repeated calls.
 
+mod common;
+
+use common::run_mode;
 use proptest::prelude::*;
 use template_deps::prelude::*;
 use template_deps::td_semigroup::alphabet::Alphabet;
@@ -57,7 +60,7 @@ proptest! {
         prop_assert_eq!(pre, again, "prescreen must be deterministic");
         let Some(verdict) = pre.verdict else { return Ok(()) };
         prop_assert!(replay(&system, &verdict).unwrap(), "{verdict:?}");
-        let seq = solve_with(&p, &Budgets::default(), SolveMode::Sequential).unwrap();
+        let seq = run_mode(&p, Budgets::default(), SolveMode::Sequential);
         match &seq.outcome {
             PipelineOutcome::Implied { .. } => prop_assert!(
                 verdict.is_implied(),
@@ -85,8 +88,8 @@ proptest! {
     /// as the sequential oracle.
     #[test]
     fn fast_settled_runs_spend_nothing_on_the_searches(p in arb_presentation()) {
-        let seq = solve_with(&p, &Budgets::default(), SolveMode::Sequential).unwrap();
-        let raced = solve_with(&p, &Budgets::default(), SolveMode::Racing).unwrap();
+        let seq = run_mode(&p, Budgets::default(), SolveMode::Sequential);
+        let raced = run_mode(&p, Budgets::default(), SolveMode::Racing);
         prop_assert_eq!(
             seq.outcome.is_implied(),
             raced.outcome.is_implied(),

@@ -1,7 +1,10 @@
 //! Property-based tests for the reduction: structural invariants of the
-//! generated dependencies, bridge algebra, and certified pipeline verdicts
-//! on randomized instances.
+//! generated dependencies, bridge algebra, certified pipeline verdicts on
+//! randomized instances, and replay determinism of the solver race.
 
+mod common;
+
+use common::{run_mode, run_with};
 use proptest::prelude::*;
 use template_deps::prelude::*;
 use template_deps::td_core::eq_instance::EqInstance;
@@ -10,6 +13,8 @@ use template_deps::td_reduction::deps::{
     build_d0, build_d1, build_d2, build_d3, build_d4, build_d_identify,
 };
 use template_deps::td_reduction::verify::structural_report;
+use template_deps::td_semigroup::derivation::SearchBudget;
+use template_deps::td_semigroup::model_search::ModelSearchOptions;
 use template_deps::td_semigroup::symbol::Sym;
 
 /// Strategy: an alphabet with `2..=4` regular symbols plus the zero.
@@ -120,7 +125,7 @@ proptest! {
     /// Facts.
     #[test]
     fn refutable_instances_certified(p in arb_refutable()) {
-        let run = solve(&p, &Budgets::default()).unwrap();
+        let run = Engine::new().run_full(&p).unwrap();
         match &run.outcome {
             PipelineOutcome::Refuted { model, report } => {
                 prop_assert!(report.ok(), "{:?}", report);
@@ -155,7 +160,7 @@ proptest! {
     #[test]
     fn relabel_chain_certified(k in 1..6usize) {
         let p = td_bench::relabel_chain(k);
-        let run = solve(&p, &Budgets::default()).unwrap();
+        let run = Engine::new().run_full(&p).unwrap();
         let PipelineOutcome::Implied { derivation, proof } = &run.outcome else {
             return Err(TestCaseError::fail("must be implied"));
         };
@@ -171,7 +176,7 @@ proptest! {
         let p = td_bench::product_chain(k);
         let mut budgets = Budgets::default();
         budgets.derivation.max_word_len = k + 2;
-        let run = solve(&p, &budgets).unwrap();
+        let run = run_with(&p, budgets, SolveOptions::default());
         let PipelineOutcome::Implied { derivation, proof } = &run.outcome else {
             return Err(TestCaseError::fail("must be implied"));
         };
@@ -200,7 +205,7 @@ proptest! {
         }
         let mut budgets = Budgets::default();
         budgets.derivation.max_word_len = k + 2;
-        let run = solve(&p, &budgets).unwrap();
+        let run = run_with(&p, budgets, SolveOptions::default());
         let PipelineOutcome::Implied { derivation, proof } = &run.outcome else {
             return Err(TestCaseError::fail("monotonicity: must stay implied"));
         };
@@ -229,5 +234,95 @@ proptest! {
         prop_assert!(report.ok(), "n={n}: {:?}", report);
         // |Q| rows each belong to exactly one nontrivial A'-class.
         prop_assert!(model.p_rows().count() >= 2);
+    }
+}
+
+/// Strategy: a random zero-saturated presentation over `A0`, `A1`, `0`:
+/// up to three equations whose sides are words of length 1–2 — derivable,
+/// refutable, and budget-bound instances alike.
+fn arb_race_presentation() -> impl Strategy<Value = Presentation> {
+    proptest::collection::vec((0..7u32, 0..3u32), 0..=3).prop_map(|eqs| {
+        let alphabet = Alphabet::standard(2);
+        const WORDS: [&str; 7] = ["A0", "A1", "0", "A1 A1", "A0 A1", "A1 A0", "A1 0"];
+        const SIDES: [&str; 3] = ["A0", "A1", "0"];
+        let equations: Vec<Equation> = eqs
+            .into_iter()
+            .map(|(l, r)| {
+                let text = format!("{} = {}", WORDS[l as usize], SIDES[r as usize]);
+                Equation::parse(&text, &alphabet).unwrap()
+            })
+            .collect();
+        let mut p = Presentation::new(alphabet, equations).unwrap();
+        p.saturate_with_zero_equations();
+        p
+    })
+}
+
+/// Budgets small enough that some instances exhaust both sides.
+fn race_budgets() -> Budgets {
+    Budgets {
+        derivation: SearchBudget {
+            max_word_len: 8,
+            max_states: 20_000,
+        },
+        model: ModelSearchOptions {
+            min_size: 2,
+            max_size: 3,
+            max_nodes: 200_000,
+        },
+        chase: ChaseBudget::default(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Race determinism: replaying the race on the same instance settles
+    /// the same way every time — same certificate shape, same derivation
+    /// length / model size, and identical spend whenever no cancellation
+    /// fired (a fast-path settle, or the double-exhaustion case where both
+    /// sides run to their budgets deterministically).
+    #[test]
+    fn portfolio_replays_settle_identically(p in arb_race_presentation()) {
+        let budgets = race_budgets();
+        let first = run_mode(&p, budgets, SolveMode::Racing);
+        for _ in 0..2 {
+            let again = run_mode(&p, budgets, SolveMode::Racing);
+            match (&first.outcome, &again.outcome) {
+                (
+                    PipelineOutcome::Implied { derivation: d1, proof: p1 },
+                    PipelineOutcome::Implied { derivation: d2, proof: p2 },
+                ) => {
+                    prop_assert_eq!(d1.len(), d2.len());
+                    prop_assert_eq!(p1.proof.len(), p2.proof.len());
+                }
+                (
+                    PipelineOutcome::Refuted { model: m1, .. },
+                    PipelineOutcome::Refuted { model: m2, .. },
+                ) => prop_assert_eq!(m1.len(), m2.len()),
+                (
+                    PipelineOutcome::FastSettled { verdict: v1 },
+                    PipelineOutcome::FastSettled { verdict: v2 },
+                ) => {
+                    // The fast path is deterministic down to the
+                    // replayable reason, not just the verdict side.
+                    prop_assert_eq!(v1, v2);
+                    prop_assert_eq!(first.spend, again.spend);
+                }
+                (
+                    PipelineOutcome::Unknown { derivation_states: ds1, model_nodes: mn1 },
+                    PipelineOutcome::Unknown { derivation_states: ds2, model_nodes: mn2 },
+                ) => {
+                    prop_assert_eq!(ds1, ds2);
+                    prop_assert_eq!(mn1, mn2);
+                    prop_assert_eq!(first.spend, again.spend);
+                }
+                (a, b) => {
+                    return Err(TestCaseError::fail(format!(
+                        "race replay diverged: {a:?} vs {b:?}"
+                    )));
+                }
+            }
+        }
     }
 }

@@ -185,6 +185,11 @@ pub struct EngineStats {
     pub derivation_states: u64,
     /// Total nodes visited by finite-model searches (same caveat).
     pub model_nodes: u64,
+    /// Solver runs whose countermodel failed its part (B) verification
+    /// and were answered `Unknown` instead of `Refuted` (see
+    /// [`PipelineRun::model_rejected`]). Always 0 unless the model search
+    /// or the construction has a defect; no reply prints it.
+    pub models_rejected: u64,
 }
 
 /// The outcome of [`Engine::load_snapshot`]: how much warmth was actually
@@ -209,6 +214,7 @@ struct Counters {
     fastpath_hits: Meter,
     derivation_states: Meter,
     model_nodes: Meter,
+    models_rejected: Meter,
 }
 
 /// One settled answer from [`Engine::decide`]: the verdict plus its
@@ -600,6 +606,7 @@ impl Engine {
             evictions: self.cache.evictions(),
             derivation_states: self.counters.derivation_states.total(),
             model_nodes: self.counters.model_nodes.total(),
+            models_rejected: self.counters.models_rejected.total(),
         }
     }
 
@@ -655,6 +662,9 @@ impl Engine {
         self.counters.solved.add(1);
         if matches!(run.outcome, PipelineOutcome::FastSettled { .. }) {
             self.counters.fastpath_hits.add(1);
+        }
+        if run.model_rejected {
+            self.counters.models_rejected.add(1);
         }
         Ok(run)
     }

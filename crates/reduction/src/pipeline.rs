@@ -216,7 +216,9 @@ pub enum PipelineOutcome {
         /// The settled verdict and its replayable reason.
         verdict: FastVerdict,
     },
-    /// Neither side succeeded within the budgets.
+    /// Neither side succeeded within the budgets (or the model side's
+    /// countermodel failed verification: see
+    /// [`PipelineRun::model_rejected`]).
     Unknown {
         /// Words visited by the derivation search.
         derivation_states: usize,
@@ -262,6 +264,12 @@ pub struct PipelineRun {
     pub timings: PhaseTimings,
     /// Deterministic spent-budget accounting for the two searches.
     pub spend: SpendReport,
+    /// `true` when the model side found a countermodel whose part (B)
+    /// verification report failed. The run then fails closed: its outcome
+    /// is [`PipelineOutcome::Unknown`], never a refutation. By the paper's
+    /// theorem this never happens; it would take a defect in the search or
+    /// the construction.
+    pub model_rejected: bool,
 }
 
 /// What one side of the race produced, before certificate compilation.
@@ -501,6 +509,7 @@ pub(crate) fn solve_prepared(
                 outcome: PipelineOutcome::FastSettled { verdict },
                 timings,
                 spend,
+                model_rejected: false,
             });
         }
     }
@@ -511,18 +520,22 @@ pub(crate) fn solve_prepared(
     };
 
     let t = Instant::now();
+    let mut model_rejected = false;
     let outcome = match side {
         SideResult::Derivation(derivation) => {
             let proof = prove_part_a_with(&system, np, &derivation, opts.strategy)?;
             PipelineOutcome::Implied { derivation, proof }
         }
         SideResult::Model(g, interp) => {
-            let model = build_counter_model(&system, np, &g, &interp)?;
-            let report = verify_counter_model_with(opts.strategy, &system, &model);
-            debug_assert!(report.ok(), "{report:?}");
-            PipelineOutcome::Refuted {
-                model: Box::new(model),
-                report,
+            match certify_refutation(&system, np, &g, &interp, opts.strategy)? {
+                Some(refuted) => refuted,
+                None => {
+                    model_rejected = true;
+                    PipelineOutcome::Unknown {
+                        derivation_states: spend.derivation_states,
+                        model_nodes: spend.model_nodes,
+                    }
+                }
             }
         }
         SideResult::Neither {
@@ -544,7 +557,32 @@ pub(crate) fn solve_prepared(
         outcome,
         timings,
         spend,
+        model_rejected,
     })
+}
+
+/// Part (B)'s certificate step: builds the countermodel database from
+/// `(g, interp)` and verifies it independently. Fails closed: when the
+/// verification report fails, the result is `None`, never
+/// [`PipelineOutcome::Refuted`].
+///
+/// # Errors
+///
+/// Fails when `(g, interp)` violates a precondition of the construction
+/// (see [`build_counter_model`]).
+fn certify_refutation(
+    system: &ReductionSystem,
+    np: &Presentation,
+    g: &FiniteSemigroup,
+    interp: &Interpretation,
+    strategy: MatchStrategy,
+) -> Result<Option<PipelineOutcome>> {
+    let model = build_counter_model(system, np, g, interp)?;
+    let report = verify_counter_model_with(strategy, system, &model);
+    Ok(report.ok().then(|| PipelineOutcome::Refuted {
+        model: Box::new(model),
+        report,
+    }))
 }
 
 #[cfg(test)]
@@ -582,6 +620,43 @@ mod tests {
 
     fn run(p: &Presentation) -> PipelineRun {
         run_with(p, Budgets::default(), SolveOptions::default())
+    }
+
+    #[test]
+    fn countermodel_failing_verification_is_never_refuted() {
+        // The system encodes `A1 A1 = A0`. The null semigroup with A0 and
+        // A1 both sent to its nonzero element breaks that equation, but it
+        // is a model of the zero equations alone, so against the zero-only
+        // presentation it passes every construction precondition: the
+        // certificate step gets a countermodel whose report fails.
+        let np = normalize(&derivable().zero_saturated())
+            .unwrap()
+            .presentation;
+        let system = build_system(&np).unwrap();
+        let mut zero_only = Presentation::new(Alphabet::standard(2), vec![]).unwrap();
+        zero_only.saturate_with_zero_equations();
+        let g = td_semigroup::families::null_semigroup(2);
+        let interp = Interpretation::from_raw([1, 1, 0]);
+
+        let model = build_counter_model(&system, &zero_only, &g, &interp).unwrap();
+        let report = verify_counter_model_with(MatchStrategy::default(), &system, &model);
+        assert!(!report.ok(), "{report:?}");
+        for strategy in [MatchStrategy::Indexed, MatchStrategy::Naive] {
+            let certified = certify_refutation(&system, &zero_only, &g, &interp, strategy).unwrap();
+            assert!(certified.is_none(), "{certified:?}");
+        }
+
+        // The honest instance still certifies.
+        let np = normalize(&refutable().zero_saturated())
+            .unwrap()
+            .presentation;
+        let system = build_system(&np).unwrap();
+        let interp = Interpretation::from_raw([1, 0]);
+        let certified = certify_refutation(&system, &np, &g, &interp, MatchStrategy::default());
+        assert!(matches!(
+            certified.unwrap(),
+            Some(PipelineOutcome::Refuted { .. })
+        ));
     }
 
     fn mode(mode: SolveMode) -> SolveOptions {

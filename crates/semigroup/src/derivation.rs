@@ -7,13 +7,41 @@
 //! replayable steps; [`search_derivation`] finds one by breadth-first search
 //! over the word graph (bounded by word length and state count, since the
 //! problem is undecidable).
-
-use std::collections::{HashMap, VecDeque};
+//!
+//! # Visit order and spend
+//!
+//! The search is deterministic, and its spend is part of the engine's
+//! reports, so its order is a contract:
+//!
+//! * words are expanded in the order they were first registered (plain
+//!   BFS), starting from the start word;
+//! * a word's successors are tried equation by equation in list order,
+//!   each equation lhs→rhs before rhs→lhs (skipped when both sides are
+//!   equal), and each direction at its occurrences left to right;
+//! * a successor longer than `max_word_len`, or already registered, costs
+//!   nothing; every newly registered word, the start word included, costs
+//!   one [`Ticker`] unit, and the search stops at the first refused unit
+//!   or as soon as the target is registered;
+//! * the cancellation token is observed at every registration and once
+//!   per dequeued word.
+//!
+//! So [`TrackedSearch::states`] is the number of distinct words
+//! registered, the same on every run of the same question, and a found
+//! derivation is the first shortest one in this order.
+//!
+//! `max_states` also bounds memory. Each registered word is stored once,
+//! in a flat arena: its symbols (2 bytes each, so at most
+//! `2 · max_word_len` bytes), an 8-byte end offset, a 32-byte parent link
+//! (id and [`DerivStep`]) and 2–4 slots of an 8-byte hash index, so about
+//! `2 · max_word_len + 72` bytes per state before vector growth slack.
+//! Candidates are built in one reusable buffer; nothing is allocated per
+//! candidate.
 
 use td_core::budget::{Cancellation, Ticker};
 
 use crate::error::{Result, SgError};
 use crate::presentation::Presentation;
+use crate::symbol::Sym;
 use crate::word::Word;
 
 /// One replacement step: at `pos`, replace an occurrence of one side of
@@ -222,6 +250,10 @@ pub fn search_derivation_cancellable(
 /// returned [`TrackedSearch`] carries the states visited (even on success)
 /// and whether the run was cut short by the cancellation flag rather than
 /// by its own budget.
+///
+/// The search follows the visit-order contract in the module docs. The
+/// visited set is a flat word arena, so each registered word costs one
+/// copy of its symbols plus fixed per-state bookkeeping.
 pub fn search_derivation_tracked(
     p: &Presentation,
     start: &Word,
@@ -239,43 +271,54 @@ pub fn search_derivation_tracked(
     // One ticker unit per *registered* word (the start word included), so
     // `spent` is exactly the distinct-state count the reports need; mask 0
     // additionally observes the cancellation token at every registration.
-    let mut ticker = Ticker::new(cancel, budget.max_states as u64, 0);
-    // parent[word] = (previous word, step taken).
-    let mut parent: HashMap<Word, (Word, DerivStep)> = HashMap::new();
-    let mut queue: VecDeque<Word> = VecDeque::new();
-    queue.push_back(start.clone());
-    parent.insert(
-        start.clone(),
-        (
-            start.clone(),
-            DerivStep {
-                eq_index: 0,
-                pos: 0,
-                forward: true,
-            },
-        ),
-    );
+    let limit = budget.max_states.min(MAX_WORDS);
+    let mut ticker = Ticker::new(cancel, limit as u64, 0);
+    let mut arena = WordArena::new(start.syms());
+    let target = target.syms();
+    let mut found = None;
+    // The dequeued word and the candidate successor, reused across the
+    // whole search: a candidate reaches the arena only when it is new.
+    let mut word: Vec<Sym> = Vec::new();
+    let mut next: Vec<Sym> = Vec::new();
 
     if ticker.tick() {
-        'bfs: while let Some(word) = queue.pop_front() {
+        // Words are dequeued in registration order, so the queue is a
+        // cursor over arena ids.
+        let mut head = 0;
+        'bfs: while head < arena.len() {
             if !ticker.poll() {
                 break 'bfs;
             }
+            word.clear();
+            word.extend_from_slice(arena.word(head));
+            let parent = head;
+            head += 1;
+            let present = symbol_mask(&word);
             for (eq_index, eq) in p.equations().iter().enumerate() {
-                for (from, to, forward) in [(&eq.lhs, &eq.rhs, true), (&eq.rhs, &eq.lhs, false)] {
-                    if from == to {
+                for (from, to, forward) in [
+                    (eq.lhs.syms(), eq.rhs.syms(), true),
+                    (eq.rhs.syms(), eq.lhs.syms(), false),
+                ] {
+                    // Every replacement of `from` by `to` has the same
+                    // length, so one check covers all positions.
+                    if from == to
+                        || symbol_mask(from) & !present != 0
+                        || from.len() > word.len()
+                        || word.len() - from.len() + to.len() > budget.max_word_len
+                    {
                         continue;
                     }
-                    for pos in word.occurrences(from) {
-                        let next = word
-                            .replace_range(pos, from.len(), to)
-                            .expect("occurrence positions are in range");
-                        if next.len() > budget.max_word_len {
+                    for pos in 0..=word.len() - from.len() {
+                        if word[pos..pos + from.len()] != *from {
                             continue;
                         }
-                        if parent.contains_key(&next) {
+                        next.clear();
+                        next.extend_from_slice(&word[..pos]);
+                        next.extend_from_slice(to);
+                        next.extend_from_slice(&word[pos + from.len()..]);
+                        let Err(vacancy) = arena.find(&next) else {
                             continue;
-                        }
+                        };
                         if !ticker.tick() {
                             break 'bfs;
                         }
@@ -284,11 +327,11 @@ pub fn search_derivation_tracked(
                             pos,
                             forward,
                         };
-                        parent.insert(next.clone(), (word.clone(), step));
-                        if &next == target {
+                        let id = arena.insert(vacancy, &next, parent, step);
+                        if next == target {
+                            found = Some(id);
                             break 'bfs;
                         }
-                        queue.push_back(next);
                     }
                 }
             }
@@ -296,7 +339,7 @@ pub fn search_derivation_tracked(
     }
     let visited = ticker.spent() as usize;
 
-    if !parent.contains_key(target) {
+    let Some(mut id) = found else {
         let result = if ticker.stopped() {
             SearchResult::BudgetExhausted { states: visited }
         } else {
@@ -307,21 +350,17 @@ pub fn search_derivation_tracked(
             states: visited,
             cancelled: ticker.cancelled(),
         };
-    }
+    };
 
     // Reconstruct the step sequence backwards from target.
     let mut steps_rev = Vec::new();
-    let mut cur = target.clone();
     // td-lint: allow(budget-poll) parent-chain walk over the BFS tree already built above:
-    // each hop moves to a strictly earlier-discovered word, so it is bounded by `visited`
+    // each hop moves to a strictly earlier-registered word, so it is bounded by `visited`
     // (which the ticker already charged during the search).
-    while cur != *start {
-        let (prev, step) = parent
-            .get(&cur)
-            .expect("every reached word has a parent")
-            .clone();
+    while id != 0 {
+        let (prev, step) = arena.links[id];
         steps_rev.push(step);
-        cur = prev;
+        id = prev as usize;
     }
     steps_rev.reverse();
     TrackedSearch {
@@ -331,6 +370,172 @@ pub fn search_derivation_tracked(
         }),
         states: visited,
         cancelled: false,
+    }
+}
+
+/// A 64-bit summary of the symbols in `w` (bit `sym mod 64`): a side
+/// whose mask is not within a word's mask cannot occur in it.
+fn symbol_mask(w: &[Sym]) -> u64 {
+    w.iter().fold(0, |m, s| m | 1 << (s.index() % 64))
+}
+
+/// The most words one search can register: arena ids are `u32` and the
+/// index, at most half full, must stay within 2³² slots so a slot's
+/// 32-bit tag still determines its home. A larger `max_states` is clamped
+/// to this (the symbols alone would not fit in memory long before).
+const MAX_WORDS: usize = 1 << 31;
+
+/// An empty [`WordArena`] index slot's id.
+const EMPTY: u32 = u32::MAX;
+
+/// Index slots a search starts with: small, because the typical search
+/// registers a few hundred words and must stay cheap to set up.
+const INITIAL_SLOTS: usize = 16;
+
+/// The derivation search's visited set: every registered word, stored
+/// once, in registration order.
+///
+/// Word `id` occupies `syms[ends[id - 1]..ends[id]]` (`syms[..ends[0]]`
+/// for the start word, id 0). `links[id]` is the id it was reached from
+/// and the step taken (the start word links to itself with a dummy step).
+/// `slots` is an open-addressing index under linear probing: each used
+/// slot holds an id and the top 32 bits of its word's [`slice_hash`] (the
+/// tag), so a probe rarely touches a word that does not match and a
+/// rehash never touches the words at all. The index doubles whenever it
+/// would pass half full, so a probe always ends at an empty slot within a
+/// few steps.
+struct WordArena {
+    syms: Vec<Sym>,
+    ends: Vec<usize>,
+    links: Vec<(u32, DerivStep)>,
+    slots: Vec<(u32, u32)>,
+}
+
+/// Where [`WordArena::find`] stopped for an unregistered word: the empty
+/// slot it belongs in, and its tag.
+struct Vacancy {
+    slot: usize,
+    tag: u32,
+}
+
+impl WordArena {
+    /// An arena holding just `start`, as id 0.
+    fn new(start: &[Sym]) -> Self {
+        let mut arena = Self {
+            syms: Vec::new(),
+            ends: Vec::new(),
+            links: Vec::new(),
+            slots: vec![(EMPTY, 0); INITIAL_SLOTS],
+        };
+        let tag = hash_tag(start);
+        let vacancy = Vacancy {
+            slot: home(tag, INITIAL_SLOTS),
+            tag,
+        };
+        let step = DerivStep {
+            eq_index: 0,
+            pos: 0,
+            forward: true,
+        };
+        arena.insert(vacancy, start, 0, step);
+        arena
+    }
+
+    /// Number of registered words.
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The symbols of word `id`.
+    fn word(&self, id: usize) -> &[Sym] {
+        let from = if id == 0 { 0 } else { self.ends[id - 1] };
+        &self.syms[from..self.ends[id]]
+    }
+
+    /// `Ok(id)` when `w` is registered, else where
+    /// [`WordArena::insert`] must put it.
+    fn find(&self, w: &[Sym]) -> Result<usize, Vacancy> {
+        let mask = self.slots.len() - 1;
+        let tag = hash_tag(w);
+        let mut slot = home(tag, self.slots.len());
+        // td-lint: allow(budget-poll) the index is at most half full, so every probe
+        // ends at an empty slot; it charges no state of its own.
+        loop {
+            let (id, t) = self.slots[slot];
+            if id == EMPTY {
+                return Err(Vacancy { slot, tag });
+            }
+            if t == tag && self.word(id as usize) == w {
+                return Ok(id as usize);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Registers `w` at the [`Vacancy`] that [`WordArena::find`] returned,
+    /// reached from `parent` by `step`, and returns its id.
+    fn insert(&mut self, at: Vacancy, w: &[Sym], parent: usize, step: DerivStep) -> usize {
+        let id = self.len();
+        self.syms.extend_from_slice(w);
+        self.ends.push(self.syms.len());
+        self.links.push((parent as u32, step));
+        self.slots[at.slot] = (id as u32, at.tag);
+        if 2 * self.len() > self.slots.len() {
+            self.grow();
+        }
+        id
+    }
+
+    /// Doubles the index and re-slots every used slot by its tag.
+    fn grow(&mut self) {
+        let mut slots = vec![(EMPTY, 0); 2 * self.slots.len()];
+        for &(id, tag) in self.slots.iter().filter(|&&(id, _)| id != EMPTY) {
+            let slot = vacant_slot(&slots, tag);
+            slots[slot] = (id, tag);
+        }
+        self.slots = slots;
+    }
+}
+
+/// The first empty slot from `tag`'s home on, for re-slotting a word
+/// already known to be absent.
+fn vacant_slot(slots: &[(u32, u32)], tag: u32) -> usize {
+    let mut slot = home(tag, slots.len());
+    // td-lint: allow(budget-poll) a rehash re-slots only words the ticker already
+    // charged, and the doubled index is at most a quarter full, so each probe ends.
+    while slots[slot].0 != EMPTY {
+        slot = (slot + 1) & (slots.len() - 1);
+    }
+    slot
+}
+
+/// The home slot of `tag` in an index of `n` slots (a power of two, at
+/// most 2³²): the tag's top bits, which the multiplicative hash mixes
+/// best.
+fn home(tag: u32, n: usize) -> usize {
+    (u64::from(tag) >> (32 - n.trailing_zeros())) as usize
+}
+
+/// The top 32 bits of [`slice_hash`]: a word's index tag.
+fn hash_tag(w: &[Sym]) -> u32 {
+    (slice_hash(w) >> 32) as u32
+}
+
+/// A fast non-cryptographic hash of a word (the Fx multiply-rotate
+/// scheme, over four symbols per round): the search hashes every
+/// candidate it generates. The keys are words the search derives itself,
+/// not raw request bytes.
+fn slice_hash(w: &[Sym]) -> u64 {
+    const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+    let round = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(K);
+    let pack = |c: &[Sym]| c.iter().fold(0u64, |x, s| x << 16 | u64::from(s.raw()));
+    let chunks = w.chunks_exact(4);
+    let tail = chunks.remainder();
+    let h = chunks.fold(w.len() as u64, |h, c| round(h, pack(c)));
+    if tail.is_empty() {
+        h
+    } else {
+        round(h, pack(tail))
     }
 }
 

@@ -1,9 +1,16 @@
 //! Property-based tests for the semigroup layer: word algebra, derivation
-//! certificates, quotient/BFS agreement, families, adjunction, evaluation.
+//! certificates, quotient/BFS agreement, families, adjunction, evaluation,
+//! and the arena BFS against its `HashMap` reference implementation.
+
+use std::collections::{HashMap, VecDeque};
 
 use proptest::prelude::*;
+use td_bench::product_chain;
 use template_deps::prelude::*;
-use template_deps::td_semigroup::derivation::search_goal_derivation;
+use template_deps::td_semigroup::derivation::{
+    search_derivation_tracked, search_goal_derivation, search_goal_derivation_tracked, DerivStep,
+    TrackedSearch,
+};
 use template_deps::td_semigroup::model_search::ModelSearchResult;
 use template_deps::td_semigroup::properties;
 use template_deps::td_semigroup::quotient::BoundedQuotient;
@@ -27,8 +34,147 @@ fn arb_presentation() -> impl Strategy<Value = Presentation> {
     })
 }
 
+/// The reference derivation search: the original `HashMap`-of-parents
+/// BFS, kept verbatim as the differential oracle for
+/// [`search_derivation_tracked`]. Both must agree on the whole
+/// [`TrackedSearch`] — result, steps, state count and cancellation flag.
+fn reference_search(
+    p: &Presentation,
+    start: &Word,
+    target: &Word,
+    budget: &SearchBudget,
+    cancel: &Cancellation,
+) -> TrackedSearch {
+    if start == target {
+        return TrackedSearch {
+            result: SearchResult::Found(Derivation::trivial(start.clone())),
+            states: 1,
+            cancelled: false,
+        };
+    }
+    // One ticker unit per *registered* word (the start word included), so
+    // `spent` is exactly the distinct-state count the reports need; mask 0
+    // additionally observes the cancellation token at every registration.
+    let mut ticker = Ticker::new(cancel, budget.max_states as u64, 0);
+    // parent[word] = (previous word, step taken).
+    let mut parent: HashMap<Word, (Word, DerivStep)> = HashMap::new();
+    let mut queue: VecDeque<Word> = VecDeque::new();
+    queue.push_back(start.clone());
+    parent.insert(
+        start.clone(),
+        (
+            start.clone(),
+            DerivStep {
+                eq_index: 0,
+                pos: 0,
+                forward: true,
+            },
+        ),
+    );
+
+    if ticker.tick() {
+        'bfs: while let Some(word) = queue.pop_front() {
+            if !ticker.poll() {
+                break 'bfs;
+            }
+            for (eq_index, eq) in p.equations().iter().enumerate() {
+                for (from, to, forward) in [(&eq.lhs, &eq.rhs, true), (&eq.rhs, &eq.lhs, false)] {
+                    if from == to {
+                        continue;
+                    }
+                    for pos in word.occurrences(from) {
+                        let next = word
+                            .replace_range(pos, from.len(), to)
+                            .expect("occurrence positions are in range");
+                        if next.len() > budget.max_word_len {
+                            continue;
+                        }
+                        if parent.contains_key(&next) {
+                            continue;
+                        }
+                        if !ticker.tick() {
+                            break 'bfs;
+                        }
+                        let step = DerivStep {
+                            eq_index,
+                            pos,
+                            forward,
+                        };
+                        parent.insert(next.clone(), (word.clone(), step));
+                        if &next == target {
+                            break 'bfs;
+                        }
+                        queue.push_back(next);
+                    }
+                }
+            }
+        }
+    }
+    let visited = ticker.spent() as usize;
+
+    if !parent.contains_key(target) {
+        let result = if ticker.stopped() {
+            SearchResult::BudgetExhausted { states: visited }
+        } else {
+            SearchResult::ExhaustedWithinBound { states: visited }
+        };
+        return TrackedSearch {
+            result,
+            states: visited,
+            cancelled: ticker.cancelled(),
+        };
+    }
+
+    // Reconstruct the step sequence backwards from target.
+    let mut steps_rev = Vec::new();
+    let mut cur = target.clone();
+    while cur != *start {
+        let (prev, step) = parent
+            .get(&cur)
+            .expect("every reached word has a parent")
+            .clone();
+        steps_rev.push(step);
+        cur = prev;
+    }
+    steps_rev.reverse();
+    TrackedSearch {
+        result: SearchResult::Found(Derivation {
+            start: start.clone(),
+            steps: steps_rev,
+        }),
+        states: visited,
+        cancelled: false,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The arena BFS and the reference BFS visit the same words in the
+    /// same order: every tracked outcome matches, under tiny state
+    /// budgets, tight length windows and pre-cancelled tokens, for the goal
+    /// and for arbitrary endpoints.
+    #[test]
+    fn arena_bfs_matches_reference(
+        p in arb_presentation(),
+        start in arb_word(3, 4),
+        target in arb_word(3, 3),
+        max_word_len in 1..7usize,
+        max_states in 0..400usize,
+        cancelled in 0..4u32,
+    ) {
+        let budget = SearchBudget { max_word_len, max_states };
+        let cancel = Cancellation::new();
+        if cancelled == 0 {
+            cancel.cancel();
+        }
+        let goal = p.goal();
+        for (s, t) in [(&goal.lhs, &goal.rhs), (&start, &target)] {
+            let arena = search_derivation_tracked(&p, s, t, &budget, &cancel);
+            let reference = reference_search(&p, s, t, &budget, &cancel);
+            prop_assert_eq!(arena, reference);
+        }
+    }
 
     /// `occurrences` and `replace_range` agree.
     #[test]
@@ -254,5 +400,28 @@ fn quotient_classes_contain_their_queries() {
     assert!(class.contains(&a0));
     for w in &class {
         assert_eq!(q.equal(&a0, w), Some(true));
+    }
+}
+
+/// The `product_chain` bases of the `dup_warm` benchmark, normalized as the
+/// engine normalizes them, visit exactly the state counts the reference
+/// BFS visits under the engine's default budget (pinned from it), and the
+/// smaller one matches the reference outcome in full.
+#[test]
+fn product_chain_state_counts_are_pinned() {
+    let budget = Budgets::default().derivation;
+    let never = Cancellation::new();
+    for (k, states) in [(6, 99_487), (5, 6_538)] {
+        let np = normalize(&product_chain(k).zero_saturated())
+            .unwrap()
+            .presentation;
+        let t = search_goal_derivation_tracked(&np, &budget, &never);
+        assert_eq!(t.states, states, "product_chain({k})");
+        assert!(!t.cancelled);
+        if k == 5 {
+            let goal = np.goal();
+            let reference = reference_search(&np, &goal.lhs, &goal.rhs, &budget, &never);
+            assert_eq!(t, reference);
+        }
     }
 }

@@ -153,8 +153,8 @@ pub fn nilpotent_countermodel_workload(
 /// four base word-problem instances (two derivable instances whose BFS
 /// derivation searches do real work, a refutable zero-only instance, and
 /// the running two-generator example). Copy `j` of an instance rotates
-/// its equation list by `j` and renames every symbol — changes that leave
-/// the reduced dependency system isomorphic, so canonical-key
+/// its equation list by `j` and renames every symbol, keeping each
+/// symbol's index — changes the engine's presentation key ignores, so
 /// deduplication must collapse the corpus back to the four originals.
 /// This is the `batch_throughput` bench workload.
 pub fn duplicate_heavy_corpus(copies: usize) -> Vec<Presentation> {
@@ -176,8 +176,8 @@ pub fn duplicate_heavy_corpus(copies: usize) -> Vec<Presentation> {
     let mut corpus = Vec::with_capacity(bases.len() * copies);
     for (b, base) in bases.iter().enumerate() {
         for j in 0..copies {
-            // Renamed symbols (order preserved — the reduction keys on
-            // structure, not names) and rotated equations.
+            // Renamed symbols and rotated equations. Symbol order is
+            // preserved: the presentation key ignores names, not indices.
             let alphabet = base.alphabet();
             let names: Vec<String> = (0..alphabet.len())
                 .map(|s| format!("S{b}_{j}_{s}"))
@@ -229,7 +229,7 @@ pub const EASY_HEAVY_ELIGIBLE: usize = 32;
 ///
 /// Every presentation keeps its alphabet small (≤ 4 regular symbols): the
 /// point of the corpus is the *mix*, not per-instance bulk, and small
-/// instances keep the common canonicalize-and-reduce prefix — paid
+/// instances keep the common normalize-and-reduce prefix — paid
 /// identically by the fast path and the baseline — from drowning the
 /// search spend the prescreen removes.
 ///

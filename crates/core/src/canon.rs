@@ -3,14 +3,19 @@
 //! Two TDs ask the *same* implication question when they differ only by a
 //! per-column renaming of variables and a permutation of antecedent rows —
 //! the paper never distinguishes such copies ("only the pattern of equality
-//! among attribute values … \[is\] important"). Batch workloads are full of
-//! them: corpora of machine-generated implication instances repeat the same
-//! question under fresh variable names and shuffled rows. This module
-//! assigns every TD a [`CanonKey`] — a stable 128-bit digest of a canonical
-//! labelling — such that **two TDs get the same key iff they are isomorphic**
-//! (equal up to variable renaming and row permutation; column order stays
-//! significant, because the typing restriction makes columns distinguishable
-//! sorts). The batch pipeline dedups and caches decisions by this key.
+//! among attribute values … \[is\] important"). This module assigns every
+//! TD a [`CanonKey`] — a stable 128-bit digest of a canonical labelling —
+//! such that **two TDs get the same key iff they are isomorphic** (equal up
+//! to variable renaming and row permutation; column order stays
+//! significant, because the typing restriction makes columns
+//! distinguishable sorts). Σ-sessions key their goals by it, and
+//! [`system_key`] lifts it to a whole reduced system `D ⊨ D₀`.
+//!
+//! The decision cache of word-problem instances does **not** key on
+//! reduced systems: the question is fixed by the presentation, so the
+//! `td-reduction` engine keys it there, before reducing, with
+//! [`digest_key`] over an exact encoding of the presentation (names,
+//! equation order, side order and repeats ignored; symbol indices kept).
 //!
 //! # Algorithm
 //!
@@ -50,16 +55,18 @@
 use crate::ids::{AttrId, Var};
 use crate::td::{Td, TdRow};
 
-/// Version of the canonicalization scheme: the key-derivation algorithm,
-/// its encoding, and the digest. **Bump this constant whenever a change to
-/// this module can alter the [`CanonKey`] assigned to any TD** — refinement
-/// signatures, branching order, the leaf encoding, the digest function, or
-/// the [`system_key`] composition. Persisted artifacts keyed by canonical
-/// keys (the decision-cache snapshots in `td-reduction`) embed this version
-/// and refuse to marry keys minted under a different scheme: a stale
-/// snapshot must be discarded, never silently reinterpreted as if its keys
-/// still named the same isomorphism classes.
-pub const CANON_SCHEME_VERSION: u32 = 1;
+/// Version of the keying scheme: the key-derivation algorithms, their
+/// encodings, and the digest. **Bump this constant whenever a change can
+/// alter the [`CanonKey`] assigned to any TD or to any word-problem
+/// instance** — refinement signatures, branching order, the leaf
+/// encoding, the digest function, the [`system_key`] composition, or the
+/// presentation key the `td-reduction` engine caches `wp` verdicts under
+/// (`Engine::canonical_key`, built on [`digest_key`]). Persisted artifacts
+/// keyed by these keys (the decision-cache snapshots in `td-reduction`)
+/// embed this version and refuse to marry keys minted under a different
+/// scheme: a stale snapshot must be discarded, never silently
+/// reinterpreted as if its keys still named the same classes.
+pub const CANON_SCHEME_VERSION: u32 = 2;
 
 /// An isomorphism-invariant 128-bit key: equal for two TDs exactly when
 /// they coincide up to per-column variable renaming and antecedent-row
@@ -497,8 +504,18 @@ pub fn canon_form(td: &Td) -> Td {
 /// (renamed variables and/or permuted antecedent rows), up to 128-bit
 /// digest collision.
 pub fn canon_key(td: &Td) -> CanonKey {
+    digest_key(canon_encoding(td))
+}
+
+/// The 128-bit FNV-1a digest [`canon_key`] applies to its encoding, over
+/// any `u32` stream (little-endian bytes). Deterministic across builds and
+/// Rust releases — unlike std's `DefaultHasher` — so keys minted from it
+/// can be persisted under [`CANON_SCHEME_VERSION`]. The stream must be an
+/// injective encoding of whatever the key is meant to identify (e.g.
+/// length-prefixed sequences); the digest adds no structure of its own.
+pub fn digest_key(stream: impl IntoIterator<Item = u32>) -> CanonKey {
     let mut d = Digest::new();
-    for v in canon_encoding(td) {
+    for v in stream {
         d.push_u32(v);
     }
     d.finish()
@@ -508,21 +525,14 @@ pub fn canon_key(td: &Td) -> CanonKey {
 /// premises' keys (order-independent — `D` is a set) combined with the
 /// goal's key. Two instances get the same key iff their premise multisets
 /// match pairwise up to isomorphism and so do their goals; the verdict of
-/// the implication question is invariant under exactly these changes, which
-/// is what makes key-based caching of verdicts sound.
+/// the implication question is invariant under exactly these changes.
+///
+/// This is an invariant of a *reduced* system, not the key the
+/// `td-reduction` engine caches word-problem verdicts under: that key is
+/// taken from the presentation before anything is reduced (see
+/// `Engine::canonical_key`).
 pub fn system_key(deps: &[Td], d0: &Td) -> CanonKey {
-    system_key_with(deps, d0, canon_key)
-}
-
-/// [`system_key`] with a caller-supplied per-TD keying function. The
-/// composition (sorted premise-key multiset + goal key under one digest) is
-/// identical to [`system_key`]; callers that can produce `canon_key`-equal
-/// keys cheaper — e.g. a service memoizing keys of structurally identical
-/// TDs across requests — plug in here without re-deriving the composition.
-/// `key_of` must agree with [`canon_key`] on every TD it is given, or the
-/// resulting key stops being the isomorphism invariant this module promises.
-pub fn system_key_with(deps: &[Td], d0: &Td, mut key_of: impl FnMut(&Td) -> CanonKey) -> CanonKey {
-    let mut dep_keys: Vec<CanonKey> = deps.iter().map(&mut key_of).collect();
+    let mut dep_keys: Vec<CanonKey> = deps.iter().map(canon_key).collect();
     dep_keys.sort_unstable();
     let mut d = Digest::new();
     d.push_u32(d0.arity() as u32);
@@ -530,7 +540,7 @@ pub fn system_key_with(deps: &[Td], d0: &Td, mut key_of: impl FnMut(&Td) -> Cano
     for k in dep_keys {
         d.push_u128(k.raw());
     }
-    d.push_u128(key_of(d0).raw());
+    d.push_u128(canon_key(d0).raw());
     d.finish()
 }
 

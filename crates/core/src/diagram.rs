@@ -202,18 +202,60 @@ impl Diagram {
     /// Fails only if the rebuilt dependency is rejected by [`Td::new`]
     /// (cannot happen for a diagram that validated its nodes and edges).
     pub fn to_td(&self, name: impl Into<String>) -> Result<Td> {
-        let parts = self.partitions();
-        let labels: Vec<Vec<u32>> = parts.iter().map(|uf| uf.dense_labels()).collect();
-        let row_of_node = |node: usize| -> TdRow {
-            TdRow::new((0..self.schema.arity()).map(|c| Var::new(labels[c][node])))
-        };
-        let antecedents: Vec<TdRow> = (0..self.node_count)
-            .filter(|&n| n != self.conclusion)
+        // `labels[c * n + i]` is node `i`'s variable in column `c`. An
+        // edgeless column keeps the identity labelling (node `i` gets
+        // variable `i`), which is what first-appearance numbering of
+        // singletons gives. The other columns are union–found in place,
+        // always linking the larger root under the smaller, so every
+        // parent index is at most its child's; one ascending pass then
+        // points each node at its root, and a second renumbers roots in
+        // first-appearance order.
+        let n = self.node_count;
+        let arity = self.schema.arity();
+        let mut labels: Vec<u32> = (0..arity).flat_map(|_| 0..n as u32).collect();
+        let mut touched = vec![false; arity];
+        for &(a, b, attr) in &self.edges {
+            let c = attr.index();
+            touched[c] = true;
+            let col = &mut labels[c * n..(c + 1) * n];
+            let (ra, rb) = (root(col, a), root(col, b));
+            col[ra.max(rb)] = ra.min(rb) as u32;
+        }
+        let mut dense = vec![0u32; n];
+        for c in (0..arity).filter(|&c| touched[c]) {
+            let col = &mut labels[c * n..(c + 1) * n];
+            let mut next = 0;
+            for i in 0..n {
+                let r = col[col[i] as usize];
+                col[i] = r;
+                if r as usize == i {
+                    dense[i] = next;
+                    next += 1;
+                }
+            }
+            for l in col.iter_mut() {
+                *l = dense[*l as usize];
+            }
+        }
+        let row_of_node =
+            |node: usize| TdRow::new((0..arity).map(|c| Var::new(labels[c * n + node])));
+        let antecedents: Vec<TdRow> = (0..n)
+            .filter(|&i| i != self.conclusion)
             .map(row_of_node)
             .collect();
         let conclusion = row_of_node(self.conclusion);
         Td::new(self.schema.clone(), antecedents, conclusion, name)
     }
+}
+
+/// The root of `x` in a column's parent array, halving the path on the way.
+fn root(parent: &mut [u32], mut x: usize) -> usize {
+    while parent[x] as usize != x {
+        let grand = parent[parent[x] as usize];
+        parent[x] = grand;
+        x = grand as usize;
+    }
+    x
 }
 
 #[cfg(test)]

@@ -7,15 +7,50 @@
 //! structurally throughout the crate (values and variables are scoped per
 //! column; see [`crate::ids`]).
 
+use std::sync::Arc;
+
 use crate::error::{CoreError, Result};
 use crate::ids::AttrId;
 
 /// The schema of the single relation: a name and an ordered list of
 /// attribute names.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The name and attribute table sit behind one shared [`Arc`]: every
+/// dependency, diagram and instance over a schema carries a copy, so a
+/// clone is a reference-count bump, and equality between copies of one
+/// schema is a pointer comparison.
+#[derive(Clone)]
 pub struct Schema {
+    table: Arc<Table>,
+}
+
+#[derive(PartialEq, Eq, Hash)]
+struct Table {
     relation: String,
     attrs: Vec<String>,
+}
+
+impl PartialEq for Schema {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.table, &other.table) || self.table == other.table
+    }
+}
+
+impl Eq for Schema {}
+
+impl std::hash::Hash for Schema {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.table.hash(state);
+    }
+}
+
+impl std::fmt::Debug for Schema {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Schema")
+            .field("relation", &self.table.relation)
+            .field("attrs", &self.table.attrs)
+            .finish()
+    }
 }
 
 impl Schema {
@@ -37,24 +72,30 @@ impl Schema {
             }
         }
         Ok(Self {
-            relation: relation.into(),
-            attrs,
+            table: Arc::new(Table {
+                relation: relation.into(),
+                attrs,
+            }),
         })
     }
 
     /// The relation name.
     pub fn relation(&self) -> &str {
-        &self.relation
+        &self.table.relation
     }
 
     /// Number of attributes (columns).
     pub fn arity(&self) -> usize {
-        self.attrs.len()
+        self.table.attrs.len()
     }
 
     /// The attribute id for `name`, if present.
     pub fn attr_id(&self, name: &str) -> Option<AttrId> {
-        self.attrs.iter().position(|a| a == name).map(AttrId::from)
+        self.table
+            .attrs
+            .iter()
+            .position(|a| a == name)
+            .map(AttrId::from)
     }
 
     /// The attribute id for `name`, as a `Result`.
@@ -73,12 +114,13 @@ impl Schema {
     /// # Panics
     /// Panics if `id` is out of range.
     pub fn attr_name(&self, id: AttrId) -> &str {
-        &self.attrs[id.index()]
+        &self.table.attrs[id.index()]
     }
 
     /// Iterates over `(AttrId, name)` pairs in column order.
     pub fn attrs(&self) -> impl Iterator<Item = (AttrId, &str)> {
-        self.attrs
+        self.table
+            .attrs
             .iter()
             .enumerate()
             .map(|(i, a)| (AttrId::from(i), a.as_str()))
@@ -104,7 +146,7 @@ impl Schema {
 
     /// A one-line human-readable summary, e.g. `R(SUPPLIER, STYLE, SIZE)`.
     pub fn summary(&self) -> String {
-        format!("{}({})", self.relation, self.attrs.join(", "))
+        format!("{}({})", self.table.relation, self.table.attrs.join(", "))
     }
 }
 
@@ -160,6 +202,10 @@ mod tests {
         let s = garment();
         let t = Schema::new("R", ["A", "B"]).unwrap();
         assert!(s.expect_same(&s.clone()).is_ok());
+        assert!(
+            s.expect_same(&garment()).is_ok(),
+            "equal tables, two allocations"
+        );
         assert!(matches!(
             s.expect_same(&t),
             Err(CoreError::SchemaMismatch { .. })

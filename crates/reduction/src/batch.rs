@@ -1,20 +1,19 @@
 //! Batch decision types: many implication questions, each answered once
-//! per isomorphism class by [`crate::engine::Engine::solve_batch`].
+//! per distinct presentation by [`crate::engine::Engine::solve_batch`].
 //!
-//! Corpora of word-problem instances are full of isomorphic repeats —
-//! machine-generated queries differ by symbol names, equation order, or
-//! variable names while asking the same question. A batch exploits this
-//! in three layers:
+//! Corpora of word-problem instances are full of disguised repeats —
+//! machine-generated queries that differ by symbol names, equation order,
+//! the side order of an equation or repeated equations while asking the
+//! same question. A batch exploits this in three layers:
 //!
-//! 1. **Canonicalization** — every instance is reduced to its dependency
-//!    system `(D, D₀)` and keyed by [`td_core::canon::system_key`], which
-//!    is invariant under exactly the changes that cannot affect the
-//!    verdict (per-column variable renaming, row permutation, premise
-//!    reordering).
+//! 1. **Keying** — every instance is keyed by
+//!    [`crate::engine::Engine::canonical_key`], an exact key of the parsed
+//!    presentation that ignores exactly those differences (symbol indices
+//!    stay significant) and needs no normalization or reduction.
 //! 2. **Deduplication + caching** — only the first instance of each key is
-//!    solved; settled verdicts are also recorded in the engine's shared
-//!    [`crate::cache::DecisionCache`], so a pre-warmed cache skips even the
-//!    first copy. `Unknown` verdicts are shared *within* the batch call
+//!    normalized, reduced and solved; settled verdicts are also recorded
+//!    in the engine's shared [`crate::cache::DecisionCache`], so a
+//!    pre-warmed cache skips even the first copy. `Unknown` verdicts are shared *within* the batch call
 //!    (budgets are fixed for the call) but never written to the cache.
 //! 3. **A fixed worker pool** — the distinct instances are solved on the
 //!    engine's `jobs` scoped threads, each running the racing solver;
@@ -36,7 +35,7 @@ use crate::pipeline::{PipelineOutcome, PipelineRun};
 
 /// One instance's verdict, compressed to the numbers a batch report needs.
 /// Full certificates are only materialized by the run that solved the
-/// instance; isomorphic repeats share the verdict without replaying it.
+/// instance; repeats of it share the verdict without replaying it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchVerdict {
     /// `D ⊨ D₀` — derivable, with proof sizes.
@@ -65,10 +64,10 @@ pub enum BatchVerdict {
 pub struct BatchStats {
     /// Instances in the batch.
     pub total: usize,
-    /// Distinct canonical keys among them.
+    /// Distinct keys ([`crate::engine::Engine::canonical_key`]) among them.
     pub unique: usize,
-    /// Instances answered without running the solver — isomorphic repeats
-    /// within the batch plus pre-warmed cache entries. Always
+    /// Instances answered without running the solver — repeats within
+    /// the batch plus pre-warmed cache entries. Always
     /// `total - solved`.
     pub cache_hits: usize,
     /// Racing-solver runs actually executed.
@@ -93,8 +92,8 @@ pub struct BatchStats {
 pub struct BatchRun {
     /// One verdict per input instance, in input order.
     pub verdicts: Vec<BatchVerdict>,
-    /// The canonical key of each input instance, in input order (equal
-    /// keys mark the isomorphic repeats that were deduplicated).
+    /// The key of each input instance, in input order (equal keys mark
+    /// the repeats that were deduplicated).
     pub keys: Vec<CanonKey>,
     /// Work accounting.
     pub stats: BatchStats,
@@ -186,7 +185,7 @@ mod tests {
     }
 
     /// The same instance under renamed symbols and reordered equations:
-    /// isomorphic after reduction, so it must share the canonical key.
+    /// the same question, so it must share the key.
     fn derivable_renamed() -> Presentation {
         let alphabet = Alphabet::new(["start", "gen", "zip"], "start", "zip").unwrap();
         let eqs = vec![

@@ -1,14 +1,15 @@
-//! A sharded, concurrent decision cache keyed by canonical forms.
+//! A sharded, concurrent decision cache keyed by [`CanonKey`]s.
 //!
 //! The engine ([`crate::engine::Engine::decide`],
 //! [`crate::engine::Engine::solve_batch`]) answers streams of
-//! implication questions in which many instances are isomorphic copies of
+//! implication questions in which many instances are disguised copies of
 //! each other. Once one copy is decided, every other copy has — provably —
-//! the same verdict: implication is invariant under per-column variable
-//! renaming and row permutation of the dependencies, which is exactly the
-//! equivalence [`td_core::canon::CanonKey`] quotients by. The cache stores
-//! one [`CachedOutcome`] per key, so a verdict is computed once per
-//! isomorphism class per process.
+//! the same verdict: the question is invariant under renaming symbols,
+//! reordering equations, swapping an equation's sides and repeating an
+//! equation, which is exactly the equivalence the engine's presentation
+//! key ([`crate::engine::Engine::canonical_key`]) quotients by. The cache
+//! stores one [`CachedOutcome`] per key, so a verdict is computed once per
+//! class per process.
 //!
 //! Only **settled** verdicts (`Implied` / `Refuted`) are cached. `Unknown`
 //! is a statement about the *budgets* of one particular call, not about the
@@ -28,8 +29,8 @@
 //! cache is **capacity-bounded**: each shard holds at most
 //! [`DecisionCache::shard_capacity`] entries and evicts its oldest entry
 //! (FIFO insertion order) to make room for a new key. Eviction is purely a
-//! residency decision — a verdict is a theorem about an isomorphism class
-//! and never goes stale, so evicting one costs a re-solve, not
+//! residency decision — a verdict is a theorem about a class of
+//! questions and never goes stale, so evicting one costs a re-solve, not
 //! correctness. The cumulative eviction count is exposed via
 //! [`DecisionCache::evictions`] and surfaced in the batch and engine
 //! stats; the default capacity ([`DEFAULT_SHARD_CAPACITY`] per shard) is
@@ -69,7 +70,7 @@ pub enum CachedVerdict {
     },
 }
 
-/// What the cache remembers per canonical key: the settled verdict plus
+/// What the cache remembers per key: the settled verdict plus
 /// the spent-budget provenance of the run that settled it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CachedOutcome {
@@ -187,8 +188,8 @@ impl DecisionCache {
     }
 
     /// Records a settled verdict. A later insert for the same key
-    /// overwrites the earlier one; both describe the same isomorphism
-    /// class, so the verdicts agree and only the provenance can differ.
+    /// overwrites the earlier one; both describe the same class of
+    /// questions, so the verdicts agree and only the provenance can differ.
     /// Inserting a *new* key into a full shard first evicts the shard's
     /// oldest entry (FIFO) and counts it in [`DecisionCache::evictions`];
     /// tombstones left behind by [`DecisionCache::remove`] are skipped

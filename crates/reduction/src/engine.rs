@@ -7,9 +7,10 @@
 //! (`tdq serve`):
 //!
 //! * a bounded, sharded [`DecisionCache`] keyed by
-//!   [`td_core::canon::CanonKey`] — verdicts survive across requests, so a
-//!   duplicate-heavy request stream settles each isomorphism class once
-//!   per process, not once per call;
+//!   [`Engine::canonical_key`] — an exact key of the presentation, blind
+//!   to symbol names, equation order, side order and repeated equations —
+//!   so verdicts survive across requests and a duplicate-heavy request
+//!   stream settles each question once per process, not once per call;
 //! * a [`BudgetPolicy`] that mints a per-request [`Ticket`] — the budgets
 //!   for the two certificate searches (request overrides clamped to the
 //!   policy's caps) plus a fresh [`Cancellation`] token registered with
@@ -23,10 +24,11 @@
 //!   requests, hits, solver runs, evictions, and total search spend.
 //!
 //! Its three solving entry points — [`Engine::run_full`],
-//! [`Engine::decide_with`] and [`Engine::solve_batch`] — normalize and
-//! reduce each instance once and hand it to the pipeline's single
-//! executor; the single-flight gate is the only place a solve's verdict
-//! is written to the cache.
+//! [`Engine::decide_with`] and [`Engine::solve_batch`] — hand each
+//! instance to the pipeline's single executor. The two cached ones key
+//! the presentation first and normalize and reduce it only inside the
+//! single-flight solve of a miss, so a hit does neither; the single-flight
+//! gate is the only place a solve's verdict is written to the cache.
 
 // The engine is the shared request path of every serve worker: a panic
 // here poisons cross-request state (caches, the session registry). The
@@ -36,15 +38,17 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::time::Instant;
 
 use td_core::budget::{Cancellation, Meter};
-use td_core::canon::{canon_key, system_key, system_key_with, CanonKey, CANON_SCHEME_VERSION};
+use td_core::canon::{canon_key, digest_key, CanonKey, CANON_SCHEME_VERSION};
 use td_core::chase::{ChaseBudget, ChaseEngine, ChaseOutcome, ChasePolicy, ChaseState, Goal};
 use td_core::inference::{self, freeze, InferenceVerdict};
 use td_core::schema::Schema;
 use td_core::td::Td;
 use td_semigroup::presentation::Presentation;
+use td_semigroup::word::Word;
 
 use crate::batch::{compress, from_cached, solver_pool_width, BatchRun, BatchStats, BatchVerdict};
 use crate::cache::{CachedOutcome, CachedVerdict, DecisionCache};
@@ -172,7 +176,7 @@ pub struct EngineStats {
     pub solved: u64,
     /// Among `solved`, the runs the axiom-driven fast-path prescreen
     /// settled before either certificate search started (stage 0 of the
-    /// decide tier: fingerprint memo → cache → **fastpath** → full
+    /// decide tier: presentation key → cache → **fastpath** → full
     /// solve). These runs report zero chase/model spend.
     pub fastpath_hits: u64,
     /// Verdicts currently resident in the decision cache.
@@ -218,11 +222,10 @@ struct Counters {
 }
 
 /// One settled answer from [`Engine::decide`]: the verdict plus its
-/// provenance (canonical key, spend, whether the cache answered).
+/// provenance (cache key, spend, whether the cache answered).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decision {
-    /// The canonical key of the instance (equal keys ⇔ isomorphic
-    /// questions).
+    /// The cache key of the instance ([`Engine::canonical_key`]).
     pub key: CanonKey,
     /// The verdict.
     pub verdict: BatchVerdict,
@@ -231,9 +234,8 @@ pub struct Decision {
     pub spend: SpendReport,
     /// `true` when the decision cache answered without running the solver.
     pub cached: bool,
-    /// Wall-clock phase timings of the request. A cache hit reports the
-    /// normalize and reduce phases it paid for keying, and its `total`;
-    /// its search and certificate phases are zero.
+    /// Wall-clock phase timings of the request. A cache hit neither
+    /// normalizes nor reduces, so every phase but its `total` is zero.
     pub timings: PhaseTimings,
 }
 
@@ -364,41 +366,6 @@ pub struct Engine {
     settled: Condvar,
     /// Named incremental Σ-sessions (see [`Session`]).
     sessions: Mutex<SessionRegistry>,
-    /// Canonicalization memo: exact structural fingerprint of a reduced
-    /// dependency → its [`canon_key`]. Two *identical* TDs are trivially
-    /// isomorphic, so serving a repeat from here is sound and skips the
-    /// individualization–refinement search entirely. Duplicate-heavy
-    /// request streams (the steady state `tdq serve` exists for) reduce to
-    /// structurally identical dependency systems over and over; with the
-    /// memo a warm request pays hashing instead of re-canonicalizing
-    /// every premise. Bounded by [`CANON_MEMO_CAP`] (cleared, not evicted,
-    /// when full — entries are cheap to recompute).
-    canon_memo: RwLock<HashMap<Vec<u64>, CanonKey>>,
-}
-
-/// Entry bound for the [`Engine`] canonicalization memo: comfortably above
-/// any realistic distinct-dependency working set while capping memory at a
-/// few megabytes. On overflow the memo is cleared wholesale — a rare, cheap
-/// reset beats per-entry eviction bookkeeping on this hot path.
-const CANON_MEMO_CAP: usize = 8192;
-
-/// Exact structural fingerprint of a TD: arity, antecedent count, then the
-/// raw variable indices of every row (antecedents in order, conclusion
-/// last), column by column. Equal fingerprints ⇔ identical inputs to the
-/// canonical search ([`canon_key`] ignores names), so memoizing keys by
-/// fingerprint can never conflate non-isomorphic TDs.
-fn td_fingerprint(td: &Td) -> Vec<u64> {
-    let mut out = Vec::with_capacity(2 + (td.antecedent_count() + 1) * td.arity());
-    out.push(td.arity() as u64);
-    out.push(td.antecedent_count() as u64);
-    for row in td
-        .antecedents()
-        .iter()
-        .chain(std::iter::once(td.conclusion()))
-    {
-        out.extend(row.components().map(|(_, v)| v.index() as u64));
-    }
-    out
 }
 
 /// What the single-flight gate produced for one key: a pipeline run this
@@ -443,7 +410,6 @@ impl Engine {
                 opened: 0,
                 evictions: 0,
             }),
-            canon_memo: RwLock::new(HashMap::new()),
         }
     }
 
@@ -469,66 +435,48 @@ impl Engine {
         &self.cache
     }
 
-    /// The isomorphism-invariant canonical key of a word-problem instance:
-    /// reduce to the dependency system `(D, D₀)` and key it with
-    /// [`td_core::canon::system_key`]. Two presentations share the key iff
-    /// their reduced systems are isomorphic — exactly when their verdicts
-    /// provably agree.
+    /// The cache key of a word-problem instance: an exact key of the
+    /// parsed presentation, taken before anything is normalized or
+    /// reduced. It is a [`digest_key`] of the alphabet length, the indices
+    /// of `A₀` and `0`, and the sorted, de-duplicated equations, each with
+    /// its two sides in a fixed order (every word length-prefixed, so the
+    /// stream is injective).
     ///
-    /// # Errors
-    ///
-    /// Fails when normalization or reduction rejects `p` (e.g. a
-    /// presentation that is not reduction-ready after zero-saturation).
-    pub fn canonical_key(p: &Presentation) -> Result<CanonKey> {
-        let system = prepare(p)?.system;
-        Ok(system_key(&system.deps, &system.d0))
-    }
-
-    /// [`Engine::canonical_key`] through this engine's canonicalization
-    /// memo, keeping the intermediate products: the normalization and the
-    /// reduction system built for keying are returned (with their phase
-    /// timings) so a subsequent solve reuses them instead of rebuilding —
-    /// every request is normalized and reduced exactly once.
-    ///
-    /// Per-dependency keys of structurally identical TDs are reused across
-    /// requests (see the `canon_memo` field docs), so the warm path of a
-    /// duplicate-heavy stream pays fingerprint hashing instead of the full
-    /// canonical search. Always returns the same key as the static path.
-    fn canonical_parts(&self, p: &Presentation) -> Result<(CanonKey, Prepared)> {
-        let prepared = prepare(p)?;
-        let system = &prepared.system;
-        let key = system_key_with(&system.deps, &system.d0, |td| self.memoized_canon_key(td));
-        Ok((key, prepared))
-    }
-
-    /// The [`canon_key`] of one TD, served from the memo when an exact
-    /// structural twin has been keyed before. Identical fingerprints mean
-    /// identical encodings fed to the canonical search, hence identical
-    /// keys — no isomorphism reasoning is delegated to the memo.
-    fn memoized_canon_key(&self, td: &Td) -> CanonKey {
-        let fp = td_fingerprint(td);
-        // Poison recovery is sound here: the memo maps fingerprints to
-        // deterministic pure values, and every critical section is a
-        // single complete map operation, so a recovered map is always a
-        // valid (possibly smaller-than-ideal) cache.
-        if let Some(&k) = self
-            .canon_memo
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&fp)
-        {
-            return k;
+    /// Two presentations share the key iff (up to 128-bit digest
+    /// collision) they differ only in symbol names, equation order, the
+    /// side order of an equation, or repeated equations — none of which
+    /// can change the verdict. Symbol indices
+    /// are significant: permuting the symbols changes the key, as it
+    /// changes the columns of the reduced system.
+    pub fn canonical_key(p: &Presentation) -> CanonKey {
+        fn word(w: &Word) -> impl Iterator<Item = u32> + '_ {
+            std::iter::once(w.len() as u32).chain(w.syms().iter().map(|s| u32::from(s.raw())))
         }
-        let key = canon_key(td);
-        let mut memo = self
-            .canon_memo
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if memo.len() >= CANON_MEMO_CAP {
-            memo.clear();
-        }
-        memo.insert(fp, key);
-        key
+        let mut eqs: Vec<(&Word, &Word)> = p
+            .equations()
+            .iter()
+            .map(|eq| {
+                if eq.rhs < eq.lhs {
+                    (&eq.rhs, &eq.lhs)
+                } else {
+                    (&eq.lhs, &eq.rhs)
+                }
+            })
+            .collect();
+        eqs.sort_unstable();
+        eqs.dedup();
+        let alphabet = p.alphabet();
+        let header = [
+            alphabet.len() as u32,
+            u32::from(alphabet.a0().raw()),
+            u32::from(alphabet.zero().raw()),
+            eqs.len() as u32,
+        ];
+        digest_key(
+            header
+                .into_iter()
+                .chain(eqs.into_iter().flat_map(|(l, r)| word(l).chain(word(r)))),
+        )
     }
 
     /// Mints a [`Ticket`] for one request: effective budgets from the
@@ -628,7 +576,7 @@ impl Engine {
     /// [`RedError::Snapshot`] and load **nothing**. A snapshot whose
     /// canon-scheme version differs from this build's
     /// [`CANON_SCHEME_VERSION`] is structurally sound but its keys were
-    /// minted under a different canonicalization: every entry is skipped
+    /// minted under a different keying scheme: every entry is skipped
     /// (reported in [`LoadStats::keys_skipped_version`]) rather than
     /// reinterpreted — stale warmth degrades to a cold start, never to
     /// wrong verdicts.
@@ -686,11 +634,14 @@ impl Engine {
         self.execute(prepare(p)?, &ticket)
     }
 
-    /// Decides one implication question through the cache: canonicalize,
-    /// answer from the cache when possible, otherwise run the racing
-    /// solver once and record the settled verdict.
+    /// Decides one implication question through the cache: key the
+    /// presentation ([`Engine::canonical_key`]), answer from the cache when
+    /// possible, otherwise normalize, reduce and run the racing solver once
+    /// and record the settled verdict. A request whose presentation
+    /// normalization or reduction rejects is not counted in
+    /// [`EngineStats::requests`].
     ///
-    /// Concurrent calls deciding the *same* canonical key are
+    /// Concurrent calls deciding the *same* key are
     /// single-flighted: one caller solves, the rest block until the
     /// verdict lands in the cache and then read it as a hit. This keeps
     /// the hit/solve accounting deterministic — identical to a sequential
@@ -715,31 +666,33 @@ impl Engine {
     ///
     /// Same as [`Engine::decide`].
     pub fn decide_with(&self, p: &Presentation, req: Option<RequestBudget>) -> Result<Decision> {
-        let (key, prepared) = self.canonical_parts(p)?;
-        self.counters.requests.add(1);
-        let (prefix, started) = (prepared.timings, prepared.started);
-        match self.single_flight(key, move || self.execute(prepared, &self.mint(req)?))? {
+        let started = Instant::now();
+        let key = Self::canonical_key(p);
+        let mut rejected = false;
+        let outcome = self.single_flight(key, || {
+            let prepared = prepare(p).inspect_err(|_| rejected = true)?;
+            self.execute(prepared, &self.mint(req)?)
+        });
+        if !rejected {
+            self.counters.requests.add(1);
+        }
+        let (verdict, spend, cached, phases) = match outcome? {
             ItemOutcome::Settled(hit) => {
                 self.counters.cache_hits.add(1);
-                Ok(Decision {
-                    key,
-                    verdict: from_cached(&hit),
-                    spend: hit.spend,
-                    cached: true,
-                    timings: PhaseTimings {
-                        total: started.elapsed(),
-                        ..prefix
-                    },
-                })
+                (from_cached(&hit), hit.spend, true, PhaseTimings::default())
             }
-            ItemOutcome::Ran(run) => Ok(Decision {
-                key,
-                verdict: compress(&run),
-                spend: run.spend,
-                cached: false,
-                timings: run.timings,
-            }),
-        }
+            ItemOutcome::Ran(run) => (compress(&run), run.spend, false, run.timings),
+        };
+        Ok(Decision {
+            key,
+            verdict,
+            spend,
+            cached,
+            timings: PhaseTimings {
+                total: started.elapsed(),
+                ..phases
+            },
+        })
     }
 
     /// The single-flight gate: answer `key` from the cache, or wait for
@@ -799,79 +752,45 @@ impl Engine {
     }
 
     /// Decides a whole batch through the engine: within-batch dedup by
-    /// canonical key, cross-request warmth via the shared cache, and the
-    /// distinct remainder solved on the engine's worker pool. Verdicts
-    /// come back in input order, and which instances get solved, every
-    /// verdict and the [`BatchStats`] are independent of thread
-    /// scheduling.
+    /// key, cross-request warmth via the shared cache, and the distinct
+    /// remainder solved on the engine's worker pool. Verdicts come back in
+    /// input order, and which instances get solved, every verdict and the
+    /// [`BatchStats`] are independent of thread scheduling.
     ///
-    /// Every instance is keyed through the same memoized canonicalization
-    /// as [`Engine::decide`], and a miss is solved from the normalization
-    /// and reduction system built for its key. Each solved item mints its
-    /// own ticket, so shutdown reaches batch workers too, and runs through
-    /// the same single-flight gate as [`Engine::decide`]: a batch item and
-    /// a concurrent `decide` for the same key share one solver run.
+    /// Every instance is keyed by [`Engine::canonical_key`], as in
+    /// [`Engine::decide`]; only a miss is normalized and reduced, inside
+    /// its single-flight solve. Each solved item mints its own ticket, so
+    /// shutdown reaches batch workers too, and runs through the same
+    /// single-flight gate as [`Engine::decide`]: a batch item and a
+    /// concurrent `decide` for the same key share one solver run.
     /// `Unknown` verdicts are shared within the call but never cached.
     ///
     /// # Errors
     ///
     /// Same as [`Engine::decide`]; the first failing item aborts the
-    /// batch, and a panicked worker surfaces as [`RedError::Poisoned`].
+    /// batch (no item of it is counted), and a panicked worker surfaces as
+    /// [`RedError::Poisoned`].
     pub fn solve_batch(&self, items: &[Presentation]) -> Result<BatchRun> {
         let evictions_before = self.cache.evictions();
-        // Phase 1: key every instance — pure per-item work, spread over
-        // the pool in contiguous chunks so results keep the input order.
-        let workers = solver_pool_width(self.jobs, items.len());
-        let parts: Vec<(CanonKey, Prepared)> = if workers == 0 {
-            Vec::new()
-        } else {
-            let chunk_len = items.len().div_ceil(workers);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = items
-                    .chunks(chunk_len)
-                    .map(|chunk| {
-                        s.spawn(move || {
-                            chunk
-                                .iter()
-                                .map(|p| self.canonical_parts(p))
-                                .collect::<Result<Vec<_>>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .map_err(|_| RedError::Poisoned("batch canonicalization worker"))?
-                    })
-                    .collect::<Result<Vec<Vec<_>>>>()
-            })?
-            .into_iter()
-            .flatten()
-            .collect()
-        };
-
-        // Phase 2: dedup to first occurrences, pinning pre-warmed verdicts
-        // *now* — on a shared bounded cache a concurrent writer could
-        // evict them before the fan-out. Only the misses keep their
-        // prepared instance.
-        let mut keys = Vec::with_capacity(parts.len());
+        // Phase 1: key every instance and dedup to first occurrences,
+        // pinning pre-warmed verdicts *now* — on a shared bounded cache a
+        // concurrent writer could evict them before the fan-out.
+        let keys: Vec<CanonKey> = items.iter().map(Self::canonical_key).collect();
         let mut distinct: HashSet<CanonKey> = HashSet::new();
         let mut answers: HashMap<CanonKey, BatchVerdict> = HashMap::new();
-        let mut to_solve: Vec<(CanonKey, Prepared)> = Vec::new();
-        for (key, prepared) in parts {
-            keys.push(key);
+        let mut to_solve: Vec<(CanonKey, &Presentation)> = Vec::new();
+        for (&key, p) in keys.iter().zip(items) {
             if distinct.insert(key) {
                 match self.cache.get(key) {
                     Some(outcome) => {
                         answers.insert(key, from_cached(&outcome));
                     }
-                    None => to_solve.push((key, prepared)),
+                    None => to_solve.push((key, p)),
                 }
             }
         }
 
-        // Phase 3: the solver pool pulls misses from a shared queue. The
+        // Phase 2: the solver pool pulls misses from a shared queue. The
         // first failing worker cancels the pool so the rest stop pulling
         // work whose results would be discarded. `solved` counts the runs
         // this call performed — an item settled by a concurrent flight
@@ -888,10 +807,11 @@ impl Engine {
                     .lock()
                     .map_err(|_| RedError::Poisoned("batch work queue"))?
                     .next();
-                let Some((key, prepared)) = next else {
+                let Some((key, p)) = next else {
                     break;
                 };
-                let outcome = self.single_flight(key, || self.execute(prepared, &self.mint(None)?));
+                let outcome =
+                    self.single_flight(key, || self.execute(prepare(p)?, &self.mint(None)?));
                 let verdict = match outcome {
                     Ok(ItemOutcome::Ran(run)) => {
                         solved.fetch_add(1, Ordering::Relaxed);
@@ -924,8 +844,8 @@ impl Engine {
             answers.extend(verdicts?);
         }
 
-        // Phase 4: fan the answers back out to input order. Every key's
-        // first occurrence was pinned in phase 2 or answered in phase 3.
+        // Phase 3: fan the answers back out to input order. Every key's
+        // first occurrence was pinned in phase 1 or answered in phase 2.
         let verdicts = keys
             .iter()
             .map(|key| {
@@ -1284,26 +1204,23 @@ mod tests {
         assert!(!first.cached);
         assert!(matches!(first.verdict, BatchVerdict::Implied { .. }));
 
-        // The isomorphic copy is answered from the cache, same verdict and
-        // spend provenance. Its timings cover the key prefix it paid for —
-        // normalize and reduce, within the total — and no search.
+        // The renamed, reordered copy is answered from the cache, same
+        // verdict and spend provenance. A hit neither normalizes nor
+        // reduces: every phase but the total is zero.
         let second = engine.decide(&derivable_renamed()).unwrap();
         assert!(second.cached);
         assert_eq!(second.key, first.key);
         assert_eq!(second.verdict, first.verdict);
         assert_eq!(second.spend, first.spend);
         let t = second.timings;
-        assert!(t.reduce > std::time::Duration::ZERO, "the hit reduced");
-        assert!(t.total >= t.normalize + t.reduce);
+        assert!(t.total > std::time::Duration::ZERO);
         assert_eq!(
             PhaseTimings {
-                normalize: t.normalize,
-                reduce: t.reduce,
                 total: t.total,
                 ..PhaseTimings::default()
             },
             t,
-            "search and certificate phases stay zero on a hit"
+            "only the total is timed on a hit"
         );
 
         let stats = engine.stats();
@@ -1316,21 +1233,19 @@ mod tests {
     }
 
     #[test]
-    fn memoized_canonical_keys_match_the_static_path() {
-        // The canon memo must be invisible in the keys it produces: the
-        // memoized instance path and the memo-free static path agree on
-        // every presentation, before and after the memo is warm.
+    fn rejected_presentations_are_not_requests() {
+        // `A0` and `A0'` both mint the attribute name `A0''`, so the
+        // reduction's schema rejects this presentation: the decide fails
+        // and is not counted, and nothing is cached under its key.
+        let alphabet = Alphabet::new(["A0", "A0'", "0"], "A0", "0").unwrap();
+        let rejected = Presentation::new(alphabet, vec![]).unwrap();
         let engine = Engine::new();
-        for p in [derivable(), derivable_renamed(), refutable()] {
-            let static_key = Engine::canonical_key(&p).unwrap();
-            assert_eq!(engine.canonical_parts(&p).unwrap().0, static_key);
-            // Second pass is served from a warm memo — same key.
-            assert_eq!(engine.canonical_parts(&p).unwrap().0, static_key);
-        }
-        assert!(
-            !engine.canon_memo.read().unwrap().is_empty(),
-            "the memo actually populated"
-        );
+        assert!(engine.decide(&rejected).is_err());
+        assert!(engine.solve_batch(&[refutable(), rejected]).is_err());
+        let stats = engine.stats();
+        assert_eq!((stats.requests, stats.cache_hits), (0, 0));
+        engine.decide(&derivable()).unwrap();
+        assert_eq!(engine.stats().requests, 1);
     }
 
     #[test]
@@ -1400,7 +1315,7 @@ mod tests {
     fn snapshot_from_a_bumped_canon_scheme_is_rejected_on_load() {
         // Pin the compatibility gate: a snapshot stamped with a different
         // canon-scheme version loads zero keys — its CanonKeys were minted
-        // under a different canonicalization and must not be trusted.
+        // under a different keying scheme and must not be trusted.
         let cold = Engine::new();
         cold.decide(&derivable()).unwrap();
         let foreign = crate::snapshot::encode_with_canon_version(

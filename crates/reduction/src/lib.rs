@@ -29,9 +29,9 @@
 //!   entry points are [`engine::Engine::run_full`] (full certificates),
 //!   [`engine::Engine::decide`] (through the cache) and
 //!   [`engine::Engine::solve_batch`], which dedups a corpus of instances
-//!   by canonical key ([`td_core::canon`]) and answers the distinct
-//!   remainder on a worker pool ([`batch`]). The `tdq` CLI and
-//!   `tdq serve` route through it.
+//!   by presentation key ([`engine::Engine::canonical_key`]) and answers
+//!   the distinct remainder on a worker pool ([`batch`]). The `tdq` CLI
+//!   and `tdq serve` route through it.
 //!
 //! The two halves are the *content* of the undecidability theorem: any
 //! decision procedure for TD inference would decide the (undecidable,

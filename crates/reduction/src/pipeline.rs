@@ -418,8 +418,8 @@ fn search_racing(
 }
 
 /// A normalized and reduced instance, ready for [`solve_prepared`]: what
-/// the engine builds once per request, keys, and on a miss hands to the
-/// solver instead of rebuilding it.
+/// the engine builds for a full run and, on the cached paths, only for a
+/// cache miss, inside its single-flight solve.
 #[derive(Debug)]
 pub(crate) struct Prepared {
     pub(crate) normalized: Normalized,

@@ -9,6 +9,7 @@ use template_deps::td_core::ids::{AttrId, Var};
 use template_deps::td_core::inference;
 use template_deps::td_core::satisfaction;
 use template_deps::td_core::td::TdRow;
+use template_deps::td_core::union_find::UnionFind;
 
 /// Strategy: a schema of `arity` columns named C0, C1, ….
 fn schema(arity: usize) -> Schema {
@@ -56,8 +57,61 @@ fn arb_instance(arity: usize) -> impl Strategy<Value = Instance> {
     )
 }
 
+/// Strategy: a random diagram — 1–5 columns, 2–7 nodes, any conclusion
+/// node, and up to 24 random edges (self-loops dropped).
+fn arb_diagram() -> impl Strategy<Value = Diagram> {
+    (1..=5usize, 2..=7usize).prop_flat_map(|(arity, nodes)| {
+        (
+            0..nodes,
+            proptest::collection::vec((0..nodes, 0..nodes, 0..arity), 0..=24),
+        )
+            .prop_map(move |(conclusion, edges)| {
+                let mut d = Diagram::new(schema(arity), nodes, conclusion).unwrap();
+                for (a, b, c) in edges {
+                    if a != b {
+                        d.add_edge(a, b, AttrId::from(c)).unwrap();
+                    }
+                }
+                d
+            })
+    })
+}
+
+/// The oracle for [`Diagram::to_td`]: the partition-based labelling — one
+/// union–find per column over every node, then first-appearance labels
+/// per column, antecedents in node order and the conclusion last.
+fn partition_to_td(d: &Diagram, name: &str) -> Td {
+    let arity = d.schema().arity();
+    let mut parts: Vec<UnionFind> = (0..arity).map(|_| UnionFind::new(d.node_count())).collect();
+    for (a, b, attr) in d.edges() {
+        parts[attr.index()].union(a, b);
+    }
+    let labels: Vec<Vec<u32>> = parts.iter().map(UnionFind::dense_labels).collect();
+    let row = |node: usize| TdRow::new((0..arity).map(|c| Var::new(labels[c][node])));
+    let antecedents = (0..d.node_count())
+        .filter(|&n| n != d.conclusion_node())
+        .map(row)
+        .collect();
+    Td::new(
+        d.schema().clone(),
+        antecedents,
+        row(d.conclusion_node()),
+        name,
+    )
+    .unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The one-pass `to_td` builds exactly the partition oracle's TD:
+    /// same rows, same variable numbers, same schema and name.
+    #[test]
+    fn diagram_to_td_matches_partition_oracle(d in arb_diagram()) {
+        prop_assert_eq!(d.to_td("d").unwrap(), partition_to_td(&d, "d"));
+        let closed = d.closure();
+        prop_assert_eq!(closed.to_td("c").unwrap(), partition_to_td(&closed, "c"));
+    }
 
     /// Diagram round-trip: a TD survives `from_td → to_td` up to renaming.
     #[test]

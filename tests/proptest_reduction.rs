@@ -6,7 +6,10 @@ mod common;
 
 use common::{run_mode, run_with};
 use proptest::prelude::*;
+use template_deps::jsonl::Json;
 use template_deps::prelude::*;
+use template_deps::serve::parse_instance;
+use template_deps::td_core::canon::system_key;
 use template_deps::td_core::eq_instance::EqInstance;
 use template_deps::td_core::satisfaction;
 use template_deps::td_reduction::deps::{
@@ -15,6 +18,7 @@ use template_deps::td_reduction::deps::{
 use template_deps::td_reduction::verify::structural_report;
 use template_deps::td_semigroup::derivation::SearchBudget;
 use template_deps::td_semigroup::model_search::ModelSearchOptions;
+use template_deps::td_semigroup::normalize::normalize;
 use template_deps::td_semigroup::symbol::Sym;
 
 /// Strategy: an alphabet with `2..=4` regular symbols plus the zero.
@@ -325,4 +329,154 @@ proptest! {
             }
         }
     }
+}
+
+/// Strategy: a presentation over `A0 … A{n-1}, 0` (`n` = 2–3) with 1–4
+/// equations, pairwise distinct as unordered pairs of sides, whose sides
+/// are words of length 1–3; plus a seed for the disguises applied to it.
+fn arb_keyed_presentation() -> impl Strategy<Value = (Presentation, u64)> {
+    (2..=3usize).prop_flat_map(|n| {
+        let len = n as u16 + 1;
+        let word = proptest::collection::vec(0..len, 1..=3);
+        (
+            proptest::collection::vec((word.clone(), word), 1..=4),
+            0..1_000_000u64,
+        )
+            .prop_map(move |(sides, seed)| {
+                let mut eqs: Vec<Equation> = Vec::new();
+                for (l, r) in sides {
+                    let eq = Equation::new(Word::from_raw(l).unwrap(), Word::from_raw(r).unwrap());
+                    if !eqs.iter().any(|e| *e == eq || e.flipped() == eq) {
+                        eqs.push(eq);
+                    }
+                }
+                (Presentation::new(Alphabet::standard(n), eqs).unwrap(), seed)
+            })
+    })
+}
+
+/// `p` with its equations replaced (same alphabet).
+fn with_eqs(p: &Presentation, eqs: Vec<Equation>) -> Presentation {
+    Presentation::new(p.alphabet().clone(), eqs).unwrap()
+}
+
+/// `p` over a fresh alphabet: names from `names`, `A₀` and `0` at the
+/// given indices, the equations' symbol indices untouched.
+fn relabelled(p: &Presentation, names: Vec<String>, a0: usize, zero: usize) -> Presentation {
+    let alphabet = Alphabet::new(names.clone(), &names[a0], &names[zero]).unwrap();
+    Presentation::new(alphabet, p.equations().to_vec()).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The presentation key's equivalence: renaming symbols, shuffling the
+    /// equations, swapping an equation's sides and repeating an equation
+    /// keep the key; changing a symbol of one equation, the index of `A₀`
+    /// or of `0`, or the alphabet length changes it.
+    #[test]
+    fn presentation_key_equivalence((p, seed) in arb_keyed_presentation()) {
+        let key = Engine::canonical_key(&p);
+        let eqs = p.equations().to_vec();
+        let len = p.alphabet().len();
+        let pick = seed as usize % eqs.len();
+        let (a0, zero) = (p.alphabet().a0().index(), p.alphabet().zero().index());
+        let names: Vec<String> = (0..len).map(|i| format!("s{seed}_{i}")).collect();
+
+        // Kept.
+        prop_assert_eq!(Engine::canonical_key(&relabelled(&p, names.clone(), a0, zero)), key);
+        let mut shuffled = eqs.clone();
+        shuffled.sort_by_key(|e| {
+            let h = format!("{e}{seed}").bytes().fold(seed, |h, b| h.wrapping_mul(31).wrapping_add(u64::from(b)));
+            h.rotate_left(17)
+        });
+        prop_assert_eq!(Engine::canonical_key(&with_eqs(&p, shuffled)), key);
+        let mut swapped = eqs.clone();
+        swapped[pick] = swapped[pick].flipped();
+        prop_assert_eq!(Engine::canonical_key(&with_eqs(&p, swapped)), key);
+        let mut repeated = eqs.clone();
+        repeated.push(eqs[pick].flipped());
+        repeated.push(eqs[pick].clone());
+        prop_assert_eq!(Engine::canonical_key(&with_eqs(&p, repeated)), key);
+
+        // Changed.
+        let mut changed = eqs.clone();
+        let eq = &mut changed[pick];
+        let side = if seed % 2 == 0 { &mut eq.lhs } else { &mut eq.rhs };
+        let mut syms: Vec<u16> = side.syms().iter().map(|s| s.raw()).collect();
+        let at = (seed as usize / 2) % syms.len();
+        syms[at] = (syms[at] + 1) % len as u16;
+        *side = Word::from_raw(syms).unwrap();
+        prop_assert!(Engine::canonical_key(&with_eqs(&p, changed)) != key);
+        prop_assert!(Engine::canonical_key(&relabelled(&p, names.clone(), 1, zero)) != key);
+        prop_assert!(Engine::canonical_key(&relabelled(&p, names.clone(), a0, 1)) != key);
+        let mut longer = names;
+        longer.push("extra".to_owned());
+        prop_assert!(Engine::canonical_key(&relabelled(&p, longer, a0, zero)) != key);
+    }
+}
+
+/// The `system_key` of `p`'s reduced system (zero-saturated, normalized,
+/// reduced), as the engine keyed `wp` questions before it keyed the
+/// presentation.
+fn reduced_system_key(p: &Presentation) -> CanonKey {
+    let normalized = normalize(&p.zero_saturated()).unwrap();
+    let system = build_system(&normalized.presentation).unwrap();
+    system_key(&system.deps, &system.d0)
+}
+
+/// On the repository's corpora the presentation key partitions the
+/// instances exactly as the reduced system's `system_key` does — it is no
+/// coarser, and no finer, there — and swapping two ordinary symbols moves
+/// both keys.
+#[test]
+fn presentation_key_partitions_corpora_like_system_key() {
+    let batch_small: Vec<Presentation> = include_str!("golden/batch_small.jsonl")
+        .lines()
+        .map(|line| {
+            parse_instance(&Json::parse(line).unwrap(), "item")
+                .unwrap()
+                .1
+        })
+        .collect();
+    let corpora = [
+        (
+            "duplicate_heavy_corpus",
+            td_bench::duplicate_heavy_corpus(3),
+        ),
+        ("easy_heavy_corpus", td_bench::easy_heavy_corpus()),
+        ("batch_small.jsonl", batch_small),
+    ];
+    for (name, corpus) in corpora {
+        let keys: Vec<(CanonKey, CanonKey)> = corpus
+            .iter()
+            .map(|p| (Engine::canonical_key(p), reduced_system_key(p)))
+            .collect();
+        for (i, a) in keys.iter().enumerate() {
+            for (j, b) in keys[..i].iter().enumerate() {
+                assert_eq!(a.0 == b.0, a.1 == b.1, "{name}: items {j} and {i}");
+            }
+        }
+    }
+
+    // Swap the indices of `Y1` and `Y2` in every equation of a product
+    // chain: the same question up to a symbol permutation, which neither
+    // key is invariant under.
+    let p = td_bench::product_chain(3);
+    let swap = |w: &Word| {
+        Word::from_raw(w.syms().iter().map(|s| match s.raw() {
+            2 => 3,
+            3 => 2,
+            r => r,
+        }))
+        .unwrap()
+    };
+    let eqs = p
+        .equations()
+        .iter()
+        .map(|eq| Equation::new(swap(&eq.lhs), swap(&eq.rhs)))
+        .collect();
+    let swapped = with_eqs(&p, eqs);
+    assert_ne!(Engine::canonical_key(&swapped), Engine::canonical_key(&p));
+    assert_ne!(reduced_system_key(&swapped), reduced_system_key(&p));
 }

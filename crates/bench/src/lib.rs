@@ -202,40 +202,24 @@ pub fn duplicate_heavy_corpus(copies: usize) -> Vec<Presentation> {
     corpus
 }
 
-/// The number of leading instances of [`easy_heavy_corpus`] that are
-/// fast-path eligible by construction (probe-refutable presentations and
-/// subsumption-derivable aliases). `32 / 48 = 66%` of the corpus.
-pub const EASY_HEAVY_ELIGIBLE: usize = 32;
-
-/// The fast-path acceptance corpus: 48 word-problem instances, each with a
-/// distinct canonical key, ordered eligible-first.
+/// An easy-heavy corpus: 48 word-problem instances, each with a distinct
+/// canonical key, easy instances first.
 ///
-/// * indices `0..24` — probe-refutable presentations: zero-only empties,
-///   nil powers, products annihilating to zero, and word-word equations
-///   (including `A₀`-free "junk" whose dependencies grow the probe sweep
-///   without touching the goal tableau). For all of these the frozen goal
-///   tableau is already a fixpoint of every dependency, so the refutation
-///   probe certifies `Refuted`;
+/// * indices `0..24` — refutable presentations whose frozen goal tableau
+///   is already a fixpoint of every dependency: zero-only empties, nil
+///   powers, products annihilating to zero, and word-word equations
+///   (including `A₀`-free "junk" that grows the dependency set without
+///   touching the goal tableau);
 /// * indices `24..32` — `A₀ = 0` aliases over small alphabets, with and
-///   without extra nil equations: derivable, settled by the subsumption
-///   stage in one premise scan;
-/// * indices `32..48` — instances the fast path must *bail* on and hand to
-///   the search race: short relabel chains, the one-step product chain, the
-///   running two-generator example, idempotents, absorptions, and other
-///   goal-relevant equations that need a real derivation or countermodel
-///   search. Each is chosen to keep the full solve in the sub-millisecond
-///   range: a single multi-millisecond derivation would dominate the whole
-///   corpus and drown the easy-side signal.
+///   without extra nil equations: derivable in one step;
+/// * indices `32..48` — instances that need a real derivation or
+///   countermodel search: short relabel chains, the one-step product
+///   chain, the running two-generator example, idempotents, absorptions,
+///   and other goal-relevant equations. Each is chosen to keep the full
+///   solve in the sub-millisecond range.
 ///
 /// Every presentation keeps its alphabet small (≤ 4 regular symbols): the
-/// point of the corpus is the *mix*, not per-instance bulk, and small
-/// instances keep the common normalize-and-reduce prefix — paid
-/// identically by the fast path and the baseline — from drowning the
-/// search spend the prescreen removes.
-///
-/// The first [`EASY_HEAVY_ELIGIBLE`] instances are the eligibility claim
-/// the `fastpath_prescreen` bench asserts: every one must be settled by
-/// the prescreen with zero chase/model-search spend.
+/// point of the corpus is the *mix*, not per-instance bulk.
 pub fn easy_heavy_corpus() -> Vec<Presentation> {
     let parse = |n: usize, eqs: &[&str]| {
         let alphabet = Alphabet::standard(n);
@@ -248,24 +232,24 @@ pub fn easy_heavy_corpus() -> Vec<Presentation> {
         p
     };
     let mut corpus = Vec::with_capacity(48);
-    // Probe-refuted: zero-only empties.
+    // Refutable: zero-only empties.
     corpus.extend((1..=3).map(refutable_with_symbols));
-    // Probe-refuted: nil powers and products annihilating to zero.
+    // Refutable: nil powers and products annihilating to zero.
     corpus.push(parse(1, &["A0 A0 = 0"]));
     corpus.push(parse(1, &["A0 A0 A0 = 0"]));
     corpus.push(parse(2, &["A0 A1 = 0"]));
     corpus.push(parse(2, &["A1 A0 = 0"]));
     corpus.push(parse(2, &["A0 A1 = 0", "A1 A0 = 0"]));
-    // Probe-refuted: word-word equations (dependencies live on fresh
-    // product symbols, so the goal tableau stays a fixpoint).
+    // Refutable: word-word equations (dependencies live on fresh product
+    // symbols, so the goal tableau stays a fixpoint).
     corpus.push(parse(2, &["A0 A0 = A1"]));
     corpus.push(parse(2, &["A0 A0 = A1", "A1 A1 = A1"]));
     corpus.push(parse(1, &["A0 A0 = A0 A0 A0"]));
     corpus.push(parse(2, &["A0 A1 = A1 A1"]));
     corpus.push(parse(2, &["A0 A0 = A1 A1"]));
     corpus.push(parse(2, &["A0 A0 = A1 A0"]));
-    // Probe-refuted: `A₀`-free junk equations — the dependency set the
-    // probe must sweep grows while the goal tableau stays untouched.
+    // Refutable: `A₀`-free junk equations — the dependency set grows
+    // while the goal tableau stays untouched.
     corpus.push(parse(2, &["A1 A1 = A1"]));
     corpus.push(parse(3, &["A1 A1 = A1", "A2 A2 = A2"]));
     corpus.push(parse(3, &["A1 A2 = A2 A1"]));
@@ -276,14 +260,13 @@ pub fn easy_heavy_corpus() -> Vec<Presentation> {
     corpus.push(parse(3, &["A1 A1 = A2", "A2 A2 = 0"]));
     corpus.push(parse(2, &["A1 A1 = A1 A1 A1"]));
     corpus.push(parse(3, &["A1 A2 = A2 A2"]));
-    // Subsumption-derived aliases, with and without junk to scan past.
+    // Derivable aliases, with and without junk.
     corpus.extend((1..=4).map(|n| parse(n, &["A0 = 0"])));
     corpus.push(parse(2, &["A0 = 0", "A1 A1 = 0"]));
     corpus.push(parse(3, &["A0 = 0", "A1 A1 = 0"]));
     corpus.push(parse(4, &["A0 = 0", "A1 A1 = 0"]));
     corpus.push(parse(3, &["A0 = 0", "A1 A2 = 0"]));
-    debug_assert_eq!(corpus.len(), EASY_HEAVY_ELIGIBLE);
-    // Hard tail: the prescreen bails and the search race does the work.
+    // Hard tail: the search race does the work.
     corpus.extend((1..=3).map(relabel_chain));
     corpus.push(product_chain(1));
     corpus.push(parse(2, &["A1 A1 = A0", "A1 A1 = 0"]));

@@ -151,9 +151,9 @@ pub fn subsumes(general: &Td, specific: &Td) -> Result<bool> {
 }
 
 /// The matching half of [`subsumes`], against an already-frozen target
-/// tableau and goal pattern. Hot-path callers — the fast-path prescreen —
-/// freeze the target once and scan many candidate premises against it,
-/// instead of paying one [`freeze`] allocation per candidate.
+/// tableau and goal pattern. A caller scanning many candidate premises
+/// against one target freezes it once, instead of paying one [`freeze`]
+/// allocation per candidate.
 pub fn subsumes_frozen(general: &Td, frozen: &Instance, goal: &crate::chase::Goal) -> bool {
     // Zero steps: the goal may already be witnessed.
     if goal.find_in(frozen).is_some() {
@@ -266,14 +266,14 @@ pub fn derivable_by_weakening(general: &Td, specific: &Td, depth: usize) -> bool
 
 /// [`derivable_by_weakening`] under an explicit spend budget: every node
 /// of the proof search (every weakened dependency compared against the
-/// target) costs one [`Ticker`] unit, so hot-path callers — the fast-path
-/// prescreen — get a hard, deterministic bound on the exponential tree
-/// instead of trusting `depth` alone.
+/// target) costs one [`Ticker`] unit, so a caller gets a hard,
+/// deterministic bound on the exponential tree instead of trusting
+/// `depth` alone.
 ///
 /// Returns `false` once the ticker stops; that read is *not derivable
 /// within budget*, which is sound either way (a `true` is always backed by
 /// a real weakening chain). The ticker's spend is shared across calls, so
-/// a prescreen can budget one pool over many premises.
+/// a caller can budget one pool over many premises.
 pub fn derivable_by_weakening_within(
     general: &Td,
     specific: &Td,

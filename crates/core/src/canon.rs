@@ -66,7 +66,7 @@ use crate::td::{Td, TdRow};
 /// embed this version and refuse to marry keys minted under a different
 /// scheme: a stale snapshot must be discarded, never silently
 /// reinterpreted as if its keys still named the same classes.
-pub const CANON_SCHEME_VERSION: u32 = 2;
+pub const CANON_SCHEME_VERSION: u32 = 3;
 
 /// An isomorphism-invariant 128-bit key: equal for two TDs exactly when
 /// they coincide up to per-column variable renaming and antecedent-row

@@ -25,21 +25,29 @@ pub struct ReductionAttrs {
 
 impl ReductionAttrs {
     /// Builds the schema. Attribute order: `E`, `E′`, then `A′`, `A″` per
-    /// symbol in alphabet order. If some symbol is literally named `E`, the
-    /// two base attributes are renamed (`_E`, `_E′`, …) to stay distinct.
+    /// symbol in alphabet order. Leading `_`s keep the names distinct: a
+    /// symbol whose primed names an earlier symbol already took gets
+    /// escaped ones (after `X`, whose double prime is `X''`, the symbol
+    /// `X'` gets `_X''` and `_X'''`), and if some symbol is literally named
+    /// `E`, the two base attributes become `_E`, `_E'`. Alphabets with no
+    /// such clash keep the plain names.
     ///
     /// # Errors
     ///
     /// Propagates schema construction errors (duplicate attribute names —
-    /// prevented by the renaming scheme for any valid alphabet).
+    /// prevented by the escaping for any valid alphabet).
     pub fn new(alphabet: &Alphabet) -> Result<Self> {
-        let symbol_attr_names: Vec<String> = alphabet
-            .syms()
-            .flat_map(|s| {
-                let n = alphabet.name(s);
-                [format!("{n}'"), format!("{n}''")]
-            })
-            .collect();
+        let mut symbol_attr_names: Vec<String> = Vec::with_capacity(2 * alphabet.len());
+        for s in alphabet.syms() {
+            let mut prime = format!("{}'", alphabet.name(s));
+            let mut dprime = format!("{prime}'");
+            while symbol_attr_names.contains(&prime) || symbol_attr_names.contains(&dprime) {
+                prime.insert(0, '_');
+                dprime.insert(0, '_');
+            }
+            symbol_attr_names.push(prime);
+            symbol_attr_names.push(dprime);
+        }
         // Pick a base name for E that cannot collide with any primed name.
         let mut base = "E".to_owned();
         while symbol_attr_names.contains(&format!("{base}'")) || symbol_attr_names.contains(&base) {
@@ -145,6 +153,21 @@ mod tests {
         // All names distinct (Schema::new would have failed otherwise).
         let e_sym = alphabet.sym("E").unwrap();
         assert_eq!(attrs.schema().attr_name(attrs.prime(e_sym)), "E'");
+    }
+
+    #[test]
+    fn primed_symbol_names_do_not_collide() {
+        // `A0''` is both the double prime of `A0` and the single prime
+        // of `A0'`.
+        let alphabet = Alphabet::new(["A0", "A0'", "0"], "A0", "0").unwrap();
+        let attrs = ReductionAttrs::new(&alphabet).unwrap();
+        let name = |a| attrs.schema().attr_name(a).to_owned();
+        let primed = alphabet.sym("A0'").unwrap();
+        assert_eq!(name(attrs.dprime(alphabet.a0())), "A0''");
+        assert_eq!(name(attrs.prime(primed)), "_A0''");
+        assert_eq!(name(attrs.dprime(primed)), "_A0'''");
+        assert_eq!(name(attrs.e()), "E");
+        assert_eq!(attrs.arity(), 8);
     }
 
     #[test]

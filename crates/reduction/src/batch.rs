@@ -72,11 +72,6 @@ pub struct BatchStats {
     pub cache_hits: usize,
     /// Racing-solver runs actually executed.
     pub solved: usize,
-    /// Among `solved`, the runs the axiom-driven fast path settled before
-    /// either search started (see [`crate::fastpath`]). These still count
-    /// as solver runs — the prescreen is stage 0 of the solve — so
-    /// `cache_hits + solved == total` stays an invariant.
-    pub fastpath: usize,
     /// Cache evictions observed on the shared [`DecisionCache`] during
     /// this call (zero unless the cache's residency bound was hit; on an
     /// engine cache shared with concurrent callers this counts *all*
@@ -99,11 +94,7 @@ pub struct BatchRun {
     pub stats: BatchStats,
 }
 
-/// Compresses a full pipeline run to its [`BatchVerdict`]. A
-/// fastpath-settled run compresses like the certificate it stands for:
-/// implied with zero derivation work, or refuted by the probe instance's
-/// row count — so cached replays and batch output stay verdict-identical
-/// with the full solver.
+/// Compresses a full pipeline run to its [`BatchVerdict`].
 pub(crate) fn compress(run: &PipelineRun) -> BatchVerdict {
     match &run.outcome {
         PipelineOutcome::Implied { derivation, proof } => BatchVerdict::Implied {
@@ -112,13 +103,6 @@ pub(crate) fn compress(run: &PipelineRun) -> BatchVerdict {
         },
         PipelineOutcome::Refuted { model, .. } => BatchVerdict::Refuted {
             model_rows: model.len(),
-        },
-        PipelineOutcome::FastSettled { verdict } => match verdict.model_rows() {
-            None => BatchVerdict::Implied {
-                derivation_steps: 0,
-                proof_firings: 0,
-            },
-            Some(rows) => BatchVerdict::Refuted { model_rows: rows },
         },
         PipelineOutcome::Unknown {
             derivation_states,

@@ -54,8 +54,8 @@ use crate::batch::{compress, from_cached, solver_pool_width, BatchRun, BatchStat
 use crate::cache::{CachedOutcome, CachedVerdict, DecisionCache};
 use crate::error::{RedError, Result};
 use crate::pipeline::{
-    prepare, solve_prepared, Budgets, PhaseTimings, PipelineOutcome, PipelineRun, Prepared,
-    SolveOptions, SpendReport,
+    prepare, solve_prepared, Budgets, PhaseTimings, PipelineRun, Prepared, SolveOptions,
+    SpendReport,
 };
 
 /// Construction-time knobs for an [`Engine`].
@@ -174,11 +174,6 @@ pub struct EngineStats {
     pub cache_hits: u64,
     /// Racing-solver runs actually executed.
     pub solved: u64,
-    /// Among `solved`, the runs the axiom-driven fast-path prescreen
-    /// settled before either certificate search started (stage 0 of the
-    /// decide tier: presentation key → cache → **fastpath** → full
-    /// solve). These runs report zero chase/model spend.
-    pub fastpath_hits: u64,
     /// Verdicts currently resident in the decision cache.
     pub keys_cached: usize,
     /// Entries evicted from the cache to bound residency.
@@ -215,7 +210,6 @@ struct Counters {
     requests: Meter,
     cache_hits: Meter,
     solved: Meter,
-    fastpath_hits: Meter,
     derivation_states: Meter,
     model_nodes: Meter,
     models_rejected: Meter,
@@ -440,21 +434,25 @@ impl Engine {
     /// reduced. It is a [`digest_key`] of the alphabet length, the indices
     /// of `A₀` and `0`, and the sorted, de-duplicated equations, each with
     /// its two sides in a fixed order (every word length-prefixed, so the
-    /// stream is injective).
+    /// stream is injective). Equations the solve's zero-saturation already
+    /// implies are left out: reflexive ones, and those whose two sides
+    /// both contain `0` (both equal `0` once `0` absorbs).
     ///
     /// Two presentations share the key iff (up to 128-bit digest
     /// collision) they differ only in symbol names, equation order, the
-    /// side order of an equation, or repeated equations — none of which
-    /// can change the verdict. Symbol indices
+    /// side order of an equation, repeated equations, or equations left
+    /// out as above — none of which can change the verdict. Symbol indices
     /// are significant: permuting the symbols changes the key, as it
     /// changes the columns of the reduced system.
     pub fn canonical_key(p: &Presentation) -> CanonKey {
         fn word(w: &Word) -> impl Iterator<Item = u32> + '_ {
             std::iter::once(w.len() as u32).chain(w.syms().iter().map(|s| u32::from(s.raw())))
         }
+        let zero = p.alphabet().zero();
         let mut eqs: Vec<(&Word, &Word)> = p
             .equations()
             .iter()
+            .filter(|eq| !(eq.is_reflexive() || (eq.lhs.contains(zero) && eq.rhs.contains(zero))))
             .map(|eq| {
                 if eq.rhs < eq.lhs {
                     (&eq.rhs, &eq.lhs)
@@ -549,7 +547,6 @@ impl Engine {
             requests: self.counters.requests.total(),
             cache_hits: self.counters.cache_hits.total(),
             solved: self.counters.solved.total(),
-            fastpath_hits: self.counters.fastpath_hits.total(),
             keys_cached: self.cache.len(),
             evictions: self.cache.evictions(),
             derivation_states: self.counters.derivation_states.total(),
@@ -608,9 +605,6 @@ impl Engine {
             .add(run.spend.derivation_states as u64);
         self.counters.model_nodes.add(run.spend.model_nodes);
         self.counters.solved.add(1);
-        if matches!(run.outcome, PipelineOutcome::FastSettled { .. }) {
-            self.counters.fastpath_hits.add(1);
-        }
         if run.model_rejected {
             self.counters.models_rejected.add(1);
         }
@@ -796,7 +790,6 @@ impl Engine {
         // this call performed — an item settled by a concurrent flight
         // while its worker waited is a cache hit, not a solve.
         let solved = AtomicUsize::new(0);
-        let fastpath = AtomicUsize::new(0);
         let failed = Cancellation::new();
         let pool = solver_pool_width(self.jobs, to_solve.len());
         let queue = Mutex::new(to_solve.into_iter());
@@ -815,9 +808,6 @@ impl Engine {
                 let verdict = match outcome {
                     Ok(ItemOutcome::Ran(run)) => {
                         solved.fetch_add(1, Ordering::Relaxed);
-                        if matches!(run.outcome, PipelineOutcome::FastSettled { .. }) {
-                            fastpath.fetch_add(1, Ordering::Relaxed);
-                        }
                         compress(&run)
                     }
                     Ok(ItemOutcome::Settled(hit)) => from_cached(&hit),
@@ -861,7 +851,6 @@ impl Engine {
             unique: distinct.len(),
             cache_hits: items.len() - solved,
             solved,
-            fastpath: fastpath.into_inner(),
             evictions: self.cache.evictions() - evictions_before,
         };
         self.counters.requests.add(stats.total as u64);
@@ -1234,18 +1223,18 @@ mod tests {
 
     #[test]
     fn rejected_presentations_are_not_requests() {
-        // `A0` and `A0'` both mint the attribute name `A0''`, so the
-        // reduction's schema rejects this presentation: the decide fails
-        // and is not counted, and nothing is cached under its key.
-        let alphabet = Alphabet::new(["A0", "A0'", "0"], "A0", "0").unwrap();
-        let rejected = Presentation::new(alphabet, vec![]).unwrap();
+        // Normalization and reduction accept every valid presentation, so
+        // the batch that fails here is one a shut-down engine refuses: it
+        // errors on its uncached item and counts none of its items, not
+        // even the one the cache could answer.
         let engine = Engine::new();
-        assert!(engine.decide(&rejected).is_err());
-        assert!(engine.solve_batch(&[refutable(), rejected]).is_err());
-        let stats = engine.stats();
-        assert_eq!((stats.requests, stats.cache_hits), (0, 0));
         engine.decide(&derivable()).unwrap();
-        assert_eq!(engine.stats().requests, 1);
+        engine.shutdown();
+        assert!(engine
+            .solve_batch(&[derivable_renamed(), refutable()])
+            .is_err());
+        let stats = engine.stats();
+        assert_eq!((stats.requests, stats.cache_hits), (1, 0));
     }
 
     #[test]

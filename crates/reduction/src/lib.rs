@@ -67,12 +67,10 @@ pub mod prelude {
         Session, SessionStats, SessionVerdict, Ticket,
     };
     pub use crate::error::RedError;
-    pub use crate::fastpath::{prescreen, replay, FastBudget, FastReason, FastVerdict, Prescreen};
     pub use crate::part_a::{prove_part_a, prove_part_a_with, prove_unguided};
     pub use crate::part_b::{build_counter_model, CounterModel, RowLabel};
     pub use crate::pipeline::{
-        Budgets, FastPath, PhaseTimings, PipelineOutcome, PipelineRun, SolveMode, SolveOptions,
-        SpendReport,
+        Budgets, PhaseTimings, PipelineOutcome, PipelineRun, SolveMode, SolveOptions, SpendReport,
     };
     pub use crate::snapshot::{Snapshot, SnapshotError, SNAPSHOT_FORMAT_VERSION};
     pub use crate::verify::{verify_counter_model, verify_counter_model_with, PartBReport};

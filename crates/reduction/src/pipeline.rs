@@ -58,7 +58,6 @@ use td_semigroup::presentation::Presentation;
 
 use crate::deps::{build_system, ReductionSystem};
 use crate::error::{RedError, Result};
-use crate::fastpath::{self, FastBudget, FastVerdict};
 use crate::part_a::{prove_part_a_with, PartAProof};
 use crate::part_b::{build_counter_model, CounterModel};
 use crate::verify::{verify_counter_model_with, PartBReport};
@@ -86,24 +85,6 @@ pub struct SolveOptions {
     /// (certificate verification); `Naive` is the differential oracle
     /// surfaced on the CLI as `--strategy naive`.
     pub strategy: MatchStrategy,
-    /// Whether the axiom-driven fast path may settle this solve (see
-    /// [`crate::fastpath`]). On by default under [`SolveMode::Racing`];
-    /// [`SolveMode::Sequential`] ignores it entirely — the sequential
-    /// oracle stays the pure two-search reference the differential tests
-    /// compare against.
-    pub fastpath: FastPath,
-}
-
-/// Whether a solve may consult the axiom-driven fast path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum FastPath {
-    /// Prescreen before the search race (Racing mode only; the prescreen
-    /// is a pure speed knob and may never change a verdict).
-    #[default]
-    Auto,
-    /// Never consult the fast path — the baseline for benches
-    /// (`engine/cold_decide`) and for oracle-control differential runs.
-    Off,
 }
 
 /// How a solve schedules the two certificate searches.
@@ -129,9 +110,6 @@ pub struct PhaseTimings {
     pub normalize: Duration,
     /// Building the reduction system (attributes, `D`, `D₀`).
     pub reduce: Duration,
-    /// The axiom-driven fast-path prescreen (zero when the fast path was
-    /// off or the mode was sequential).
-    pub fastpath: Duration,
     /// Derivation search (side 1), including any cancelled prefix.
     pub derivation: Duration,
     /// Finite-model search (side 2), including any cancelled prefix.
@@ -163,29 +141,17 @@ pub struct PhaseTimings {
 /// report coincides across solve modes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpendReport {
-    /// Checks the axiom-driven fast-path prescreen spent (subsumption
-    /// tests, probe dependency checks, weakening nodes — see
-    /// [`crate::fastpath::Prescreen::checks`]). Zero when the fast path
-    /// was off or the mode was sequential. Always exact and replay-stable:
-    /// the prescreen never observes the race token.
-    pub fastpath_checks: u64,
-    /// `true` when the prescreen bailed on its own spend cap before
-    /// finishing every stage ([`crate::fastpath::Prescreen::truncated`]);
-    /// deterministic, unlike the race-dependent truncations below.
-    pub fastpath_truncated: bool,
     /// Distinct words the derivation search visited.
     pub derivation_states: usize,
     /// `true` when the derivation search did not run to its own natural
-    /// end (it lost the race and was cancelled, never started because the
-    /// fast path settled first, or — sequentially — never needed to run
-    /// past a win): `derivation_states` is then only a lower bound.
+    /// end (it lost the race and was cancelled): `derivation_states` is
+    /// then only a lower bound.
     pub derivation_truncated: bool,
     /// Nodes the finite-model search visited.
     pub model_nodes: u64,
     /// `true` when the model search did not run to its own natural end
-    /// (lost the race, never started past a fast-path settle, or was
-    /// skipped after a sequential win): `model_nodes` is then only a lower
-    /// bound.
+    /// (it lost the race, or was skipped after a sequential win):
+    /// `model_nodes` is then only a lower bound.
     pub model_truncated: bool,
 }
 
@@ -208,14 +174,6 @@ pub enum PipelineOutcome {
         /// The independent verification report (always `ok()`).
         report: PartBReport,
     },
-    /// The axiom-driven fast path settled the question before either
-    /// search ran: a certain verdict with a replayable [`FastVerdict`]
-    /// reason instead of the full certificates (re-solve with
-    /// [`FastPath::Off`] when the certificates themselves are needed).
-    FastSettled {
-        /// The settled verdict and its replayable reason.
-        verdict: FastVerdict,
-    },
     /// Neither side succeeded within the budgets (or the model side's
     /// countermodel failed verification: see
     /// [`PipelineRun::model_rejected`]).
@@ -228,25 +186,15 @@ pub enum PipelineOutcome {
 }
 
 impl PipelineOutcome {
-    /// `true` when `D ⊨ D₀` — [`PipelineOutcome::Implied`], or a
-    /// fast-path settle on the implied side.
+    /// `true` for [`PipelineOutcome::Implied`]: `D ⊨ D₀`.
     pub fn is_implied(&self) -> bool {
-        match self {
-            PipelineOutcome::Implied { .. } => true,
-            PipelineOutcome::FastSettled { verdict } => verdict.is_implied(),
-            _ => false,
-        }
+        matches!(self, PipelineOutcome::Implied { .. })
     }
 
-    /// `true` when `D ⊭ D₀` over finite databases —
-    /// [`PipelineOutcome::Refuted`], or a fast-path settle on the refuted
-    /// side.
+    /// `true` for [`PipelineOutcome::Refuted`]: `D ⊭ D₀` over finite
+    /// databases.
     pub fn is_refuted(&self) -> bool {
-        match self {
-            PipelineOutcome::Refuted { .. } => true,
-            PipelineOutcome::FastSettled { verdict } => !verdict.is_implied(),
-            _ => false,
-        }
+        matches!(self, PipelineOutcome::Refuted { .. })
     }
 }
 
@@ -455,13 +403,6 @@ pub(crate) fn prepare(p: &Presentation) -> Result<Prepared> {
 /// scheduling mode, observing `cancel`) → compile and verify the
 /// certificate, over an already normalized and reduced instance.
 ///
-/// Stage 0 is the axiom-driven fast path: under [`SolveMode::Racing`] with
-/// [`FastPath::Auto`], [`fastpath::prescreen`] runs before the race
-/// starts. A settled verdict returns [`PipelineOutcome::FastSettled`] with
-/// **zero** chase/model spend (both searches are reported truncated: they
-/// never started). The sequential mode skips the prescreen entirely so it
-/// stays the pure oracle the differential tests compare against.
-///
 /// `cancel` is the request's cooperative-cancellation ticket: under
 /// [`SolveMode::Racing`] the winning side flips it to stop the loser, and
 /// the engine's shutdown path may flip it at any time to wind the request
@@ -487,33 +428,6 @@ pub(crate) fn solve_prepared(
     } = prepared;
     let np = &normalized.presentation;
     let mut spend = SpendReport::default();
-    if let (SolveMode::Racing, FastPath::Auto) = (opts.mode, opts.fastpath) {
-        let t = Instant::now();
-        let pre = fastpath::prescreen(&system, &FastBudget::default())?;
-        timings.fastpath = t.elapsed();
-        spend.fastpath_checks = pre.checks;
-        spend.fastpath_truncated = pre.truncated;
-        if let Some(verdict) = pre.verdict {
-            debug_assert!(
-                fastpath::replay(&system, &verdict).unwrap_or(false),
-                "fastpath reason failed to replay: {verdict:?}"
-            );
-            // Neither search ever started; their zero spend is a trivial
-            // truncation, mirroring the racing report's labelling.
-            spend.derivation_truncated = true;
-            spend.model_truncated = true;
-            timings.total = started.elapsed();
-            return Ok(PipelineRun {
-                normalized,
-                system,
-                outcome: PipelineOutcome::FastSettled { verdict },
-                timings,
-                spend,
-                model_rejected: false,
-            });
-        }
-    }
-
     let side = match opts.mode {
         SolveMode::Sequential => search_sequential(np, budgets, &mut timings, &mut spend, cancel)?,
         SolveMode::Racing => search_racing(np, budgets, &mut timings, &mut spend, cancel)?,
@@ -681,26 +595,7 @@ mod tests {
 
     #[test]
     fn refutable_instances_come_out_refuted() {
-        // Default (racing) path: the fast-path refutation probe settles
-        // the empty presentation before either search starts, with a
-        // replayable reason.
         let run = run(&refutable());
-        match &run.outcome {
-            PipelineOutcome::FastSettled { verdict } => {
-                assert!(!verdict.is_implied());
-                assert!(crate::fastpath::replay(&run.system, verdict).unwrap());
-            }
-            other => panic!("expected FastSettled, got {other:?}"),
-        }
-        assert!(run.outcome.is_refuted());
-
-        // With the fast path off, the full model path still produces the
-        // part (B) certificate.
-        let opts = SolveOptions {
-            fastpath: FastPath::Off,
-            ..SolveOptions::default()
-        };
-        let run = run_with(&refutable(), Budgets::default(), opts);
         match &run.outcome {
             PipelineOutcome::Refuted { model, report } => {
                 assert!(report.ok());
@@ -752,43 +647,20 @@ mod tests {
             "the racing loser's spend is only a lower bound"
         );
 
-        // Refuted side. Under the default fast path, racing settles via
-        // the refutation probe before either search starts: exact,
-        // deterministic prescreen spend and zero search spend (both
-        // searches trivially truncated — they never ran). Sequential is
-        // the pure oracle: it never consults the fast path.
+        // Refuted side: the model side wins via the analytic shortcut
+        // (0 nodes, exact in both modes). Sequentially the derivation side
+        // ran to exhaustion first; racing, it lost and is truncated.
         let p = refutable();
         let seq = run_with(&p, Budgets::default(), mode(SolveMode::Sequential));
         let raced = run_with(&p, Budgets::default(), mode(SolveMode::Racing));
         assert!(seq.outcome.is_refuted() && raced.outcome.is_refuted());
-        assert!(matches!(raced.outcome, PipelineOutcome::FastSettled { .. }));
-        assert!(raced.spend.fastpath_checks > 0);
-        assert!(!raced.spend.fastpath_truncated);
-        assert_eq!(raced.spend.derivation_states, 0);
-        assert_eq!(raced.spend.model_nodes, 0);
-        assert!(raced.spend.derivation_truncated && raced.spend.model_truncated);
-        assert_eq!(seq.spend.fastpath_checks, 0, "the oracle never prescreens");
-        assert!(!seq.spend.model_truncated);
+        assert!(!seq.spend.model_truncated && !raced.spend.model_truncated);
+        assert_eq!(seq.spend.model_nodes, raced.spend.model_nodes);
         assert!(
             !seq.spend.derivation_truncated,
             "sequentially the derivation side ran to exhaustion first"
         );
-
-        // Racing with the fast path off is the plain two-sided race: the
-        // model side wins via the analytic shortcut (0 nodes, exact).
-        let off = run_with(
-            &p,
-            Budgets::default(),
-            SolveOptions {
-                mode: SolveMode::Racing,
-                fastpath: FastPath::Off,
-                ..SolveOptions::default()
-            },
-        );
-        assert!(off.outcome.is_refuted());
-        assert!(!off.spend.model_truncated);
-        assert_eq!(seq.spend.model_nodes, off.spend.model_nodes);
-        assert!(off.spend.derivation_truncated);
+        assert!(raced.spend.derivation_truncated);
 
         // Unknown: no side is cancelled, both spends exact and identical
         // across modes.
@@ -846,8 +718,6 @@ mod tests {
                 // Every truncation label is deterministic, and every
                 // spend not labelled truncated is exact.
                 let (a, b) = (reference.spend, replay.spend);
-                assert_eq!(a.fastpath_checks, b.fastpath_checks);
-                assert_eq!(a.fastpath_truncated, b.fastpath_truncated);
                 assert_eq!(a.derivation_truncated, b.derivation_truncated);
                 assert_eq!(a.model_truncated, b.model_truncated);
                 if !a.derivation_truncated {

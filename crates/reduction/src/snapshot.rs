@@ -20,12 +20,12 @@
 //!     12     4  canon-scheme version      (td_core::canon::CANON_SCHEME_VERSION
 //!                                          of the writer)
 //!     16     8  entry count N
-//!     24  N*58  fixed-width records (see below)
-//!   24+N*58  8  checksum: FNV-1a 64 over every preceding byte
+//!     24  N*50  fixed-width records (see below)
+//!   24+N*50  8  checksum: FNV-1a 64 over every preceding byte
 //! ```
 //!
-//! Each 58-byte record (format version 2; version-1 records were 50 bytes
-//! and lacked the fastpath fields — old snapshots are rejected by the
+//! Each 50-byte record (format version 3; format 2 had 58-byte records
+//! with two more spend fields — old snapshots are rejected by the
 //! format-version gate, never reinterpreted):
 //!
 //! ```text
@@ -36,9 +36,8 @@
 //!     25     8  proof_firings    (Implied) / 0          (Refuted)
 //!     33     8  spend.derivation_states
 //!     41     8  spend.model_nodes
-//!     49     8  spend.fastpath_checks
-//!     57     1  spend flags: bit 0 derivation_truncated,
-//!               bit 1 model_truncated, bit 2 fastpath_truncated
+//!     49     1  spend flags: bit 0 derivation_truncated,
+//!               bit 1 model_truncated
 //! ```
 //!
 //! `Unknown` verdicts are never cached, so they have no encoding.
@@ -70,10 +69,10 @@ pub const MAGIC: [u8; 8] = *b"TDQSNAP\0";
 
 /// Version of the byte layout described in the module docs. Bump on any
 /// change to the header or record encoding.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
 
 /// Bytes per entry record.
-const RECORD_BYTES: usize = 58;
+const RECORD_BYTES: usize = 50;
 /// Bytes before the first record.
 const HEADER_BYTES: usize = 24;
 /// Bytes of the trailing checksum.
@@ -158,10 +157,8 @@ pub fn encode_with_canon_version(entries: &[(CanonKey, CachedOutcome)], canon: u
         out.extend_from_slice(&b.to_le_bytes());
         out.extend_from_slice(&(outcome.spend.derivation_states as u64).to_le_bytes());
         out.extend_from_slice(&outcome.spend.model_nodes.to_le_bytes());
-        out.extend_from_slice(&outcome.spend.fastpath_checks.to_le_bytes());
         let flags = u8::from(outcome.spend.derivation_truncated)
-            | (u8::from(outcome.spend.model_truncated) << 1)
-            | (u8::from(outcome.spend.fastpath_truncated) << 2);
+            | (u8::from(outcome.spend.model_truncated) << 1);
         out.push(flags);
     }
     let checksum = fnv1a64(&out);
@@ -259,16 +256,14 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
                 ));
             }
         };
-        let flags = bytes[at + 57];
-        if flags & !0b111 != 0 {
+        let flags = bytes[at + 49];
+        if flags & !0b11 != 0 {
             return Err(SnapshotError::new(
-                at + 57,
+                at + 49,
                 format!("record {i}: unknown spend flags {flags:#04x}"),
             ));
         }
         let spend = SpendReport {
-            fastpath_checks: u64_at(bytes, at + 49),
-            fastpath_truncated: flags & 0b100 != 0,
             derivation_states: u64_at(bytes, at + 33) as usize,
             derivation_truncated: flags & 0b01 != 0,
             model_nodes: u64_at(bytes, at + 41),
@@ -326,8 +321,6 @@ mod tests {
             CachedOutcome {
                 verdict,
                 spend: SpendReport {
-                    fastpath_checks: n * 13,
-                    fastpath_truncated: n % 7 == 0,
                     derivation_states: n as usize * 7,
                     derivation_truncated: n % 3 == 0,
                     model_nodes: n * 11,
@@ -408,12 +401,37 @@ mod tests {
         let snap = decode(&foreign).unwrap();
         assert_eq!(snap.canon_version, CANON_SCHEME_VERSION + 9);
         assert_eq!(snap.entries.len(), 2);
+
+        // A one-record image in the format-2 layout: 58-byte records with
+        // spend fields at offsets 49..58 that format 3 dropped. It is
+        // rejected at the version word and loads nothing.
+        let mut old = MAGIC.to_vec();
+        old.extend_from_slice(&2u32.to_le_bytes());
+        old.extend_from_slice(&CANON_SCHEME_VERSION.to_le_bytes());
+        old.extend_from_slice(&1u64.to_le_bytes());
+        old.extend_from_slice(&0xdead_beef_u128.to_le_bytes());
+        old.push(1); // Refuted
+        for field in [3u64, 0, 5, 0, 9] {
+            old.extend_from_slice(&field.to_le_bytes());
+        }
+        old.push(0b100);
+        assert_eq!(old.len(), HEADER_BYTES + 58);
+        old.extend_from_slice(&fnv1a64(&old).to_le_bytes());
+        let err = decode(&old).unwrap_err();
+        assert_eq!(err.offset, 8);
+        assert!(err.msg.contains("unsupported snapshot format version 2"));
+        let engine = crate::engine::Engine::new();
+        assert!(matches!(
+            engine.load_snapshot(&old),
+            Err(crate::error::RedError::Snapshot(ref e)) if e.offset == 8
+        ));
+        assert!(engine.cache().is_empty());
     }
 
     #[test]
     fn unknown_tags_and_flags_are_rejected() {
         let clean = encode(&[entry(2)]);
-        for (at, what) in [(HEADER_BYTES + 16, "verdict tag"), (HEADER_BYTES + 57, "")] {
+        for (at, what) in [(HEADER_BYTES + 16, "verdict tag"), (HEADER_BYTES + 49, "")] {
             let mut bad = clean.clone();
             bad[at] = 0x9;
             let body = bad.len() - CHECKSUM_BYTES;

@@ -68,17 +68,7 @@ fn main() {
     let refutable = td_semigroup::parser::parse("alphabet A0 0\nzerosat\n").unwrap();
     print!("{refutable}");
 
-    // The default engine's fast path would settle this instance with a
-    // probe reason before any search; switch it off to get the part (B)
-    // countermodel itself.
-    let full = Engine::with_config(EngineConfig {
-        opts: SolveOptions {
-            fastpath: FastPath::Off,
-            ..SolveOptions::default()
-        },
-        ..EngineConfig::default()
-    });
-    let run = full.run_full(&refutable).unwrap();
+    let run = Engine::new().run_full(&refutable).unwrap();
     match &run.outcome {
         PipelineOutcome::Refuted { model, report } => {
             println!(

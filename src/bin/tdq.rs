@@ -460,15 +460,6 @@ fn cmd_wp(
                 report.fact2
             );
         }
-        PipelineOutcome::FastSettled { verdict } => {
-            if verdict.is_implied() {
-                println!("verdict: IMPLIED — settled by the fast path, hence D ⊨ D0");
-            } else {
-                println!("verdict: REFUTED — settled by the fast path (finite D ⊭ D0)");
-            }
-            println!("fastpath: {}", verdict.describe(&run.system));
-            println!("(re-run with the full solver for the replayable certificates)");
-        }
         PipelineOutcome::Unknown {
             derivation_states,
             model_nodes,
@@ -482,16 +473,14 @@ fn cmd_wp(
     if timings {
         let t = &run.timings;
         println!(
-            "timings: normalize {:.2?}, reduce {:.2?}, fastpath {:.2?}, derivation {:.2?}, \
-             model {:.2?}, certificate {:.2?}, total {:.2?} (derivation and model race on threads)",
-            t.normalize, t.reduce, t.fastpath, t.derivation, t.model, t.certificate, t.total
+            "timings: normalize {:.2?}, reduce {:.2?}, derivation {:.2?}, model {:.2?}, \
+             certificate {:.2?}, total {:.2?} (derivation and model race on threads)",
+            t.normalize, t.reduce, t.derivation, t.model, t.certificate, t.total
         );
         let label = |truncated: bool| if truncated { "truncated" } else { "exact" };
         let s = &run.spend;
         println!(
-            "spend: fastpath {} checks ({}), derivation {} words ({}), model {} nodes ({})",
-            s.fastpath_checks,
-            label(s.fastpath_truncated),
+            "spend: derivation {} words ({}), model {} nodes ({})",
             s.derivation_states,
             label(s.derivation_truncated),
             s.model_nodes,
@@ -601,19 +590,17 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         println!("{}", serve::batch_line(id, verdict));
     }
     if cache_stats {
-        // The 6-field shape of this line is pinned by the batch golden
-        // (`fastpath` counts the solver runs the prescreen settled;
-        // `jobs` is the effective solver-pool width, so operators can
+        // The 5-field shape of this line is pinned by the batch golden
+        // (`jobs` is the effective solver-pool width, so operators can
         // confirm what a run actually fanned out to); the full accounting
         // (evictions, spend) lives on the serve/json surfaces.
         let s = run.stats;
         println!(
-            "{{\"total\":{},\"unique\":{},\"cache_hits\":{},\"solved\":{},\"fastpath\":{},\"jobs\":{}}}",
+            "{{\"total\":{},\"unique\":{},\"cache_hits\":{},\"solved\":{},\"jobs\":{}}}",
             s.total,
             s.unique,
             s.cache_hits,
             s.solved,
-            s.fastpath,
             engine.jobs()
         );
     }

@@ -184,14 +184,6 @@ pub fn batch_line(id: &str, verdict: &BatchVerdict) -> String {
 pub fn spend_fields(spend: &SpendReport) -> Json {
     Json::Obj(vec![
         (
-            "fastpath_checks".to_owned(),
-            Json::from(spend.fastpath_checks),
-        ),
-        (
-            "fastpath_truncated".to_owned(),
-            Json::from(spend.fastpath_truncated),
-        ),
-        (
             "derivation_states".to_owned(),
             Json::from(spend.derivation_states),
         ),
@@ -213,7 +205,6 @@ pub fn timing_fields(t: &PhaseTimings) -> Json {
     Json::Obj(vec![
         ("normalize_us".to_owned(), us(t.normalize)),
         ("reduce_us".to_owned(), us(t.reduce)),
-        ("fastpath_us".to_owned(), us(t.fastpath)),
         ("derivation_us".to_owned(), us(t.derivation)),
         ("model_us".to_owned(), us(t.model)),
         ("certificate_us".to_owned(), us(t.certificate)),
@@ -376,7 +367,6 @@ pub fn batch_reply(id: &Json, ids: &[String], run: &BatchRun) -> String {
                 ("unique".to_owned(), Json::from(s.unique)),
                 ("cache_hits".to_owned(), Json::from(s.cache_hits)),
                 ("solved".to_owned(), Json::from(s.solved)),
-                ("fastpath".to_owned(), Json::from(s.fastpath)),
                 ("evictions".to_owned(), Json::from(s.evictions)),
             ]),
         ),
@@ -403,7 +393,6 @@ pub fn stats_reply(
         ("requests".to_owned(), Json::from(stats.requests)),
         ("cache_hits".to_owned(), Json::from(stats.cache_hits)),
         ("solved".to_owned(), Json::from(stats.solved)),
-        ("fastpath_hits".to_owned(), Json::from(stats.fastpath_hits)),
         ("keys_cached".to_owned(), Json::from(stats.keys_cached)),
         ("evictions".to_owned(), Json::from(stats.evictions)),
     ];
@@ -1265,7 +1254,7 @@ mod tests {
         assert_eq!(
             stats.text,
             "{\"id\":\"s\",\"ok\":true,\"op\":\"stats\",\"requests\":1,\"cache_hits\":0,\
-             \"solved\":1,\"fastpath_hits\":0,\"keys_cached\":1,\"evictions\":0}"
+             \"solved\":1,\"keys_cached\":1,\"evictions\":0}"
         );
         let with_spend = handle_line(&engine, "{\"id\":\"s2\",\"op\":\"stats\",\"spend\":true}");
         assert!(with_spend.text.contains("\"derivation_states\":"));

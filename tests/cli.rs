@@ -45,14 +45,17 @@ fn wp_implied() {
 
 #[test]
 fn wp_refuted() {
-    // The empty presentation is settled by the fast-path refutation probe
-    // before the model search starts; the reason names the probe instance.
+    // The empty presentation is refuted with a part (B) certificate whose
+    // checks all pass.
     let path = write_temp("wp-refuted", "alphabet A0 0\nzerosat\n");
     let out = tdq().arg("wp").arg(&path).output().unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success());
     assert!(stdout.contains("REFUTED"), "{stdout}");
-    assert!(stdout.contains("fastpath: probe template"), "{stdout}");
+    assert!(
+        stdout.contains("checks: D holds true, D0 fails true"),
+        "{stdout}"
+    );
     std::fs::remove_file(path).ok();
 }
 
@@ -211,7 +214,7 @@ fn format_json_emits_serve_schema_replies() {
         "{stdout}"
     );
     assert!(
-        stdout.contains("\"spend\":{\"fastpath_checks\":"),
+        stdout.contains("\"spend\":{\"derivation_states\":"),
         "{stdout}"
     );
     assert!(

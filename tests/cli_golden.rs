@@ -12,9 +12,7 @@
 //!
 //! then commit the regenerated `.golden` files. Timings are deliberately
 //! excluded from golden runs (`--timings` is off), keeping the output
-//! deterministic — except for the fast-path golden, which runs `--timings`
-//! precisely to pin the *lane structure* of the breakdown and scrubs the
-//! wall-clock values (see [`scrub_timings`]).
+//! deterministic.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -78,77 +76,6 @@ fn check_golden_named(args: &[&str], fixture: &str, name: &str) {
         stdout,
         expected,
         "tdq {cmd} {fixture} drifted from {}\n\
-         (if the change is intentional, refresh with \
-         `UPDATE_GOLDEN=1 cargo test --test cli_golden` and review the diff)",
-        golden.display()
-    );
-}
-
-/// Replaces every wall-clock duration on `timings:` lines with `_`,
-/// keeping the phase labels and punctuation intact. Spend lines are left
-/// alone — check/word/node counts are deterministic and *should* be
-/// pinned.
-fn scrub_timings(stdout: &str) -> String {
-    let mut out = String::with_capacity(stdout.len());
-    for line in stdout.lines() {
-        if let Some(rest) = line.strip_prefix("timings: ") {
-            let scrubbed: Vec<String> = rest
-                .split(' ')
-                .map(|tok| {
-                    let bare = tok.trim_end_matches(',');
-                    if bare.starts_with(|c: char| c.is_ascii_digit()) && bare.ends_with('s') {
-                        format!("_{}", &tok[bare.len()..])
-                    } else {
-                        tok.to_owned()
-                    }
-                })
-                .collect();
-            out.push_str("timings: ");
-            out.push_str(&scrubbed.join(" "));
-        } else {
-            out.push_str(line);
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Like [`check_golden_named`] but passes the output through
-/// [`scrub_timings`] first — for goldens that pin the `--timings` lane
-/// structure without pinning nondeterministic wall-clock values.
-fn check_golden_scrubbed(args: &[&str], fixture: &str, name: &str) {
-    let dir = golden_dir();
-    let input = dir.join(fixture);
-    let golden = dir.join(format!("{name}.golden"));
-
-    let out = Command::new(env!("CARGO_BIN_EXE_tdq"))
-        .args(args)
-        .arg(&input)
-        .output()
-        .expect("tdq runs");
-    let cmd = args.join(" ");
-    assert!(
-        out.status.success(),
-        "tdq {cmd} {fixture} failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = scrub_timings(&String::from_utf8(out.stdout).expect("tdq output is UTF-8"));
-
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&golden, &stdout).expect("write golden file");
-        return;
-    }
-    let expected = std::fs::read_to_string(&golden).unwrap_or_else(|e| {
-        panic!(
-            "cannot read {}: {e}\n(run `UPDATE_GOLDEN=1 cargo test --test cli_golden` \
-             to record it)",
-            golden.display()
-        )
-    });
-    assert_eq!(
-        stdout,
-        expected,
-        "tdq {cmd} {fixture} drifted from {} (timings scrubbed)\n\
          (if the change is intentional, refresh with \
          `UPDATE_GOLDEN=1 cargo test --test cli_golden` and review the diff)",
         golden.display()
@@ -219,16 +146,6 @@ fn wp_implied_golden() {
 #[test]
 fn wp_refuted_golden() {
     check_golden("wp", "wp_refuted.txt");
-}
-
-/// A fast-path-settled instance (`A0 = 0` is subsumed in one step) with
-/// `--timings` on: pins the verdict, the replayable reason, the `fastpath`
-/// phase in the timings breakdown, and the three-lane spend line with the
-/// searches reported truncated (they never started). Wall-clock values are
-/// scrubbed; lane labels and the exact check count are byte-pinned.
-#[test]
-fn wp_fastpath_golden() {
-    check_golden_scrubbed(&["wp", "--timings"], "wp_fastpath.txt", "wp_fastpath");
 }
 
 #[test]

@@ -43,30 +43,11 @@ fn refutable_instances() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
-/// Solves with the fast path disabled, so the battery always exercises the
-/// full certificate machinery regardless of which instances the prescreen
-/// could settle.
-fn solve_full(p: &Presentation) -> PipelineRun {
-    let opts = SolveOptions {
-        fastpath: FastPath::Off,
-        ..SolveOptions::default()
-    };
-    run_with(p, Budgets::default(), opts)
-}
-
 #[test]
 fn derivable_battery() {
     for (name, text) in derivable_instances() {
         let p = parse_presentation(text).unwrap();
-        // The default tier must settle the right side; when the fast path
-        // takes it, the reason must replay.
-        let fast = Engine::new().run_full(&p).unwrap();
-        assert!(fast.outcome.is_implied(), "{name}: {:?}", fast.outcome);
-        if let PipelineOutcome::FastSettled { verdict } = &fast.outcome {
-            assert!(replay(&fast.system, verdict).unwrap(), "{name}");
-        }
-        // Full certificates, with the fast path out of the way.
-        let run = solve_full(&p);
+        let run = Engine::new().run_full(&p).unwrap();
         match &run.outcome {
             PipelineOutcome::Implied { derivation, proof } => {
                 // The derivation replays in the normalized presentation.
@@ -88,14 +69,7 @@ fn derivable_battery() {
 fn refutable_battery() {
     for (name, text) in refutable_instances() {
         let p = parse_presentation(text).unwrap();
-        // Default tier: correct side, replayable reason when fast-settled.
-        let fast = Engine::new().run_full(&p).unwrap();
-        assert!(fast.outcome.is_refuted(), "{name}: {:?}", fast.outcome);
-        if let PipelineOutcome::FastSettled { verdict } = &fast.outcome {
-            assert!(replay(&fast.system, verdict).unwrap(), "{name}");
-        }
-        // Full part (B) certificate, with the fast path out of the way.
-        let run = solve_full(&p);
+        let run = Engine::new().run_full(&p).unwrap();
         match &run.outcome {
             PipelineOutcome::Refuted { model, report } => {
                 assert!(report.ok(), "{name}: {report:?}");

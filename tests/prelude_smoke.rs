@@ -88,26 +88,8 @@ fn prelude_covers_the_refuted_side() {
     assert!(g.zero().is_some());
     assert!(has_cancellation_property(&g));
 
-    // td_reduction: the default tier settles this on the refuted side via
-    // the fast path (also a prelude export), with a replayable reason.
-    let fast = Engine::new().run_full(&p).unwrap();
-    assert!(fast.outcome.is_refuted(), "{:?}", fast.outcome);
-    if let PipelineOutcome::FastSettled { verdict } = &fast.outcome {
-        assert!(replay(&fast.system, verdict).unwrap());
-    }
-
-    // td_reduction: with the fast path off, the pipeline refutes with a
-    // certified finite model.
-    let opts = SolveOptions {
-        fastpath: FastPath::Off,
-        ..SolveOptions::default()
-    };
-    let run = Engine::with_config(EngineConfig {
-        opts,
-        ..EngineConfig::default()
-    })
-    .run_full(&p)
-    .unwrap();
+    // td_reduction: the pipeline refutes with a certified finite model.
+    let run = Engine::new().run_full(&p).unwrap();
     let PipelineOutcome::Refuted { model, report } = &run.outcome else {
         panic!("zero-only instance must be refuted, got {:?}", run.outcome);
     };

@@ -210,9 +210,6 @@ proptest! {
         let seq = run_mode(&p, budgets, SolveMode::Sequential);
         let raced = run_mode(&p, budgets, SolveMode::Racing);
         match (&seq.outcome, &raced.outcome) {
-            // The raced side may fast-settle (`FastSettled`) where the
-            // sequential oracle produced a full certificate — same verdict,
-            // cheaper evidence. `is_implied`/`is_refuted` cover both.
             (s, r) if s.is_implied() && r.is_implied() => {}
             (s, r) if s.is_refuted() && r.is_refuted() => {}
             (

@@ -136,14 +136,6 @@ proptest! {
                 prop_assert!(satisfaction::satisfies_all(&model.instance, &run.system.deps));
                 prop_assert!(!satisfaction::satisfies(&model.instance, &run.system.d0));
             }
-            PipelineOutcome::FastSettled { verdict } => {
-                // The fast path may refute these before the model search
-                // starts; its reason must replay (the probe instance
-                // satisfies D and violates D0 — the same certificate
-                // property, checked on the probe instead of part (B)).
-                prop_assert!(!verdict.is_implied(), "x·y = 0 equations cannot derive A0 = 0");
-                prop_assert!(replay(&run.system, verdict).unwrap());
-            }
             PipelineOutcome::Implied { .. } => {
                 // Possible: e.g. the random equation `A0 X = 0` combined
                 // with others could make the goal derivable? x·y = 0 alone
@@ -284,8 +276,8 @@ proptest! {
     /// Race determinism: replaying the race on the same instance settles
     /// the same way every time — same certificate shape, same derivation
     /// length / model size, and identical spend whenever no cancellation
-    /// fired (a fast-path settle, or the double-exhaustion case where both
-    /// sides run to their budgets deterministically).
+    /// fired (the double-exhaustion case, where both sides run to their
+    /// budgets deterministically).
     #[test]
     fn portfolio_replays_settle_identically(p in arb_race_presentation()) {
         let budgets = race_budgets();
@@ -304,15 +296,6 @@ proptest! {
                     PipelineOutcome::Refuted { model: m1, .. },
                     PipelineOutcome::Refuted { model: m2, .. },
                 ) => prop_assert_eq!(m1.len(), m2.len()),
-                (
-                    PipelineOutcome::FastSettled { verdict: v1 },
-                    PipelineOutcome::FastSettled { verdict: v2 },
-                ) => {
-                    // The fast path is deterministic down to the
-                    // replayable reason, not just the verdict side.
-                    prop_assert_eq!(v1, v2);
-                    prop_assert_eq!(first.spend, again.spend);
-                }
                 (
                     PipelineOutcome::Unknown { derivation_states: ds1, model_nodes: mn1 },
                     PipelineOutcome::Unknown { derivation_states: ds2, model_nodes: mn2 },
@@ -367,13 +350,108 @@ fn relabelled(p: &Presentation, names: Vec<String>, a0: usize, zero: usize) -> P
     Presentation::new(alphabet, p.equations().to_vec()).unwrap()
 }
 
+/// `true` when `eq` counts in the presentation key: it is not reflexive,
+/// and not an equation whose two sides both contain `0`.
+fn in_key(eq: &Equation, zero: Sym) -> bool {
+    !(eq.is_reflexive() || (eq.lhs.contains(zero) && eq.rhs.contains(zero)))
+}
+
+/// `p` in a disguise chosen by `seed` that keeps its presentation key:
+/// renamed symbols, rotated equations, one equation's sides swapped, and,
+/// depending on the seed, its zero-absorption equations or a reflexive
+/// equation appended.
+fn disguised(p: &Presentation, seed: u64) -> Presentation {
+    let len = p.alphabet().len();
+    let names: Vec<String> = (0..len).map(|i| format!("d{seed}_{i}")).collect();
+    let (a0, zero) = (p.alphabet().a0().index(), p.alphabet().zero().index());
+    let mut eqs = p.equations().to_vec();
+    let n = eqs.len();
+    eqs[seed as usize % n] = eqs[seed as usize % n].flipped();
+    eqs.rotate_left(seed as usize / 2 % n);
+    if seed % 3 != 0 {
+        eqs.extend(Presentation::zero_equations(p.alphabet()));
+    }
+    if seed % 5 == 0 {
+        let s = Word::from_raw([(seed / 7 % len as u64) as u16]).unwrap();
+        eqs.push(Equation::new(s.clone(), s));
+    }
+    relabelled(&with_eqs(p, eqs), names, a0, zero)
+}
+
+/// The answer a fresh engine gives `p`: the verdict's kind, or an error.
+fn fresh_answer(p: &Presentation) -> Result<&'static str, String> {
+    match Engine::new().decide(p).map_err(|e| e.to_string())?.verdict {
+        BatchVerdict::Implied { .. } => Ok("implied"),
+        BatchVerdict::Refuted { .. } => Ok("refuted"),
+        BatchVerdict::Unknown { .. } => Ok("unknown"),
+    }
+}
+
+/// Two presentations that share a key get the same answer from two fresh
+/// engines: the same verdict, or both an error. A cache answers one with
+/// the other's verdict, so a reply must not depend on which came first.
+fn assert_same_answer(p: &Presentation, twin: &Presentation) -> Result<(), TestCaseError> {
+    prop_assert_eq!(Engine::canonical_key(p), Engine::canonical_key(twin));
+    match (fresh_answer(p), fresh_answer(twin)) {
+        (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+        (Err(_), Err(_)) => {}
+        (a, b) => prop_assert!(false, "one key, two answers: {:?} vs {:?}", a, b),
+    }
+    Ok(())
+}
+
+/// The fixed twins: symbols `A0` and `A0'` against the renamed alphabet
+/// (`A0''` is both `A0`'s double prime and `A0'`'s single prime), and the
+/// running example with its zero-absorption equations listed, plus a
+/// longer equation whose sides both contain `0`.
+#[test]
+fn cold_and_warm_answers_agree_on_fixed_twins() {
+    let parse = |names: [&str; 3], eqs: &[&str]| {
+        let alphabet = Alphabet::new(names, "A0", "0").unwrap();
+        let eqs = eqs
+            .iter()
+            .map(|e| Equation::parse(e, &alphabet).unwrap())
+            .collect();
+        Presentation::new(alphabet, eqs).unwrap()
+    };
+    let primed = parse(["A0", "A0'", "0"], &["A0' A0' = A0"]);
+    let renamed = parse(["A0", "A1", "0"], &["A1 A1 = A0"]);
+    assert_same_answer(&primed, &renamed).unwrap();
+    assert_eq!(fresh_answer(&primed), Ok("refuted"));
+
+    let running = parse(["A0", "A1", "0"], &["A1 A1 = A0", "A1 A1 = 0"]);
+    let mut absorbing = running.zero_saturated();
+    absorbing = with_eqs(
+        &absorbing,
+        [
+            absorbing.equations().to_vec(),
+            vec![Equation::parse("A1 0 A1 = 0 A0", absorbing.alphabet()).unwrap()],
+        ]
+        .concat(),
+    );
+    assert_same_answer(&running, &absorbing).unwrap();
+    assert_eq!(fresh_answer(&running), Ok("implied"));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random presentations and their key-preserving disguises (see
+    /// [`disguised`]) get the same answer from two fresh engines.
+    #[test]
+    fn cold_and_warm_answers_agree((p, seed) in arb_keyed_presentation()) {
+        assert_same_answer(&p, &disguised(&p, seed))?;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The presentation key's equivalence: renaming symbols, shuffling the
-    /// equations, swapping an equation's sides and repeating an equation
-    /// keep the key; changing a symbol of one equation, the index of `A₀`
-    /// or of `0`, or the alphabet length changes it.
+    /// equations, swapping an equation's sides, repeating an equation and
+    /// appending the zero-absorption equations keep the key; changing a
+    /// symbol of one equation the key counts ([`in_key`]), the index of
+    /// `A₀` or of `0`, or the alphabet length changes it.
     #[test]
     fn presentation_key_equivalence((p, seed) in arb_keyed_presentation()) {
         let key = Engine::canonical_key(&p);
@@ -398,16 +476,22 @@ proptest! {
         repeated.push(eqs[pick].flipped());
         repeated.push(eqs[pick].clone());
         prop_assert_eq!(Engine::canonical_key(&with_eqs(&p, repeated)), key);
+        prop_assert_eq!(Engine::canonical_key(&p.zero_saturated()), key);
 
         // Changed.
-        let mut changed = eqs.clone();
-        let eq = &mut changed[pick];
-        let side = if seed % 2 == 0 { &mut eq.lhs } else { &mut eq.rhs };
-        let mut syms: Vec<u16> = side.syms().iter().map(|s| s.raw()).collect();
-        let at = (seed as usize / 2) % syms.len();
-        syms[at] = (syms[at] + 1) % len as u16;
-        *side = Word::from_raw(syms).unwrap();
-        prop_assert!(Engine::canonical_key(&with_eqs(&p, changed)) != key);
+        let counted: Vec<usize> = (0..eqs.len())
+            .filter(|&i| in_key(&eqs[i], p.alphabet().zero()))
+            .collect();
+        if !counted.is_empty() {
+            let mut changed = eqs.clone();
+            let eq = &mut changed[counted[seed as usize % counted.len()]];
+            let side = if seed % 2 == 0 { &mut eq.lhs } else { &mut eq.rhs };
+            let mut syms: Vec<u16> = side.syms().iter().map(|s| s.raw()).collect();
+            let at = (seed as usize / 2) % syms.len();
+            syms[at] = (syms[at] + 1) % len as u16;
+            *side = Word::from_raw(syms).unwrap();
+            prop_assert!(Engine::canonical_key(&with_eqs(&p, changed)) != key);
+        }
         prop_assert!(Engine::canonical_key(&relabelled(&p, names.clone(), 1, zero)) != key);
         prop_assert!(Engine::canonical_key(&relabelled(&p, names.clone(), a0, 1)) != key);
         let mut longer = names;

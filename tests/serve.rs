@@ -94,7 +94,7 @@ fn stdio_session_warms_cache_and_stops_at_shutdown() {
     assert_eq!(
         lines[2],
         "{\"id\":\"s\",\"ok\":true,\"op\":\"stats\",\"requests\":2,\"cache_hits\":1,\
-         \"solved\":1,\"fastpath_hits\":0,\"keys_cached\":1,\"evictions\":0}"
+         \"solved\":1,\"keys_cached\":1,\"evictions\":0}"
     );
     assert_eq!(lines[3], "{\"id\":\"q\",\"ok\":true,\"op\":\"shutdown\"}");
 }

@@ -23,7 +23,7 @@ fn arb_entry() -> impl Strategy<Value = (CanonKey, CachedOutcome)> {
         0..2u32,
         0..u64::MAX,
         0..u64::MAX,
-        0..8u32,
+        0..4u32,
     )
         .prop_map(|(raw, tag, a, b, flags)| {
             let key = CanonKey::from_raw((u128::from(raw[0]) << 64) | u128::from(raw[1]));
@@ -38,8 +38,6 @@ fn arb_entry() -> impl Strategy<Value = (CanonKey, CachedOutcome)> {
                 }
             };
             let spend = SpendReport {
-                fastpath_checks: a.rotate_left(17) ^ b,
-                fastpath_truncated: flags & 4 != 0,
                 derivation_states: (b % (usize::MAX as u64)) as usize,
                 derivation_truncated: flags & 1 != 0,
                 model_nodes: a ^ b,

@@ -165,9 +165,9 @@ impl Ticket {
 /// shrink.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Implication questions received: one per [`Engine::decide`] or
-    /// [`Engine::run_full`] call, one per batch item, one per redundancy
-    /// analysis.
+    /// Implication questions received: one per [`Engine::decide`] call
+    /// that returns `Ok`, one per [`Engine::run_full`] call, one per item
+    /// of a batch that returns `Ok`, one per redundancy analysis.
     pub requests: u64,
     /// Requests answered from the decision cache (cross-request warmth
     /// plus within-batch dedup).
@@ -631,9 +631,9 @@ impl Engine {
     /// Decides one implication question through the cache: key the
     /// presentation ([`Engine::canonical_key`]), answer from the cache when
     /// possible, otherwise normalize, reduce and run the racing solver once
-    /// and record the settled verdict. A request whose presentation
-    /// normalization or reduction rejects is not counted in
-    /// [`EngineStats::requests`].
+    /// and record the settled verdict. Only a call that returns `Ok` is
+    /// counted in [`EngineStats::requests`], the way a failed
+    /// [`Engine::solve_batch`] counts none of its items.
     ///
     /// Concurrent calls deciding the *same* key are
     /// single-flighted: one caller solves, the rest block until the
@@ -662,15 +662,9 @@ impl Engine {
     pub fn decide_with(&self, p: &Presentation, req: Option<RequestBudget>) -> Result<Decision> {
         let started = Instant::now();
         let key = Self::canonical_key(p);
-        let mut rejected = false;
-        let outcome = self.single_flight(key, || {
-            let prepared = prepare(p).inspect_err(|_| rejected = true)?;
-            self.execute(prepared, &self.mint(req)?)
-        });
-        if !rejected {
-            self.counters.requests.add(1);
-        }
-        let (verdict, spend, cached, phases) = match outcome? {
+        let outcome = self.single_flight(key, || self.execute(prepare(p)?, &self.mint(req)?))?;
+        self.counters.requests.add(1);
+        let (verdict, spend, cached, phases) = match outcome {
             ItemOutcome::Settled(hit) => {
                 self.counters.cache_hits.add(1);
                 (from_cached(&hit), hit.spend, true, PhaseTimings::default())
@@ -1224,15 +1218,17 @@ mod tests {
     #[test]
     fn rejected_presentations_are_not_requests() {
         // Normalization and reduction accept every valid presentation, so
-        // the batch that fails here is one a shut-down engine refuses: it
-        // errors on its uncached item and counts none of its items, not
-        // even the one the cache could answer.
+        // the requests that fail here are ones a shut-down engine refuses.
+        // The batch errors on its uncached item and counts none of its
+        // items, not even the one the cache could answer; a decide of the
+        // uncached item counts nothing either.
         let engine = Engine::new();
         engine.decide(&derivable()).unwrap();
         engine.shutdown();
         assert!(engine
             .solve_batch(&[derivable_renamed(), refutable()])
             .is_err());
+        assert!(engine.decide(&refutable()).is_err());
         let stats = engine.stats();
         assert_eq!((stats.requests, stats.cache_hits), (1, 0));
     }

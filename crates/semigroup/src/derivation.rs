@@ -31,11 +31,14 @@
 //!
 //! `max_states` also bounds memory. Each registered word is stored once,
 //! in a flat arena: its symbols (2 bytes each, so at most
-//! `2 · max_word_len` bytes), an 8-byte end offset, a 32-byte parent link
-//! (id and [`DerivStep`]) and 2–4 slots of an 8-byte hash index, so about
-//! `2 · max_word_len + 72` bytes per state before vector growth slack.
-//! Candidates are built in one reusable buffer; nothing is allocated per
-//! candidate.
+//! `2 · max_word_len` bytes), a 4-byte end offset, a 4-byte parent id, a
+//! 4-byte hash and 2–4 slots of a 4-byte hash index, so at most
+//! `2 · max_word_len + 28` bytes per state before vector growth slack.
+//! The step that reached a word is not stored: a found derivation's steps
+//! are recovered along its parent chain, each as the first candidate in
+//! the order above that rewrites the parent into the child, which is the
+//! candidate that registered it. Candidates are built in one reusable
+//! buffer; nothing is allocated per candidate.
 
 use td_core::budget::{Cancellation, Ticker};
 
@@ -157,7 +160,9 @@ pub struct SearchBudget {
     /// bound; some derivations genuinely need longer intermediate words, so
     /// exhausting this bound does **not** refute derivability).
     pub max_word_len: usize,
-    /// Maximum number of distinct words to visit.
+    /// Maximum number of distinct words to visit. A search visits at most
+    /// 2²⁴ − 1 words, and at most as many as fit 2³² symbols at
+    /// `max_word_len` each.
     pub max_states: usize,
 }
 
@@ -208,7 +213,7 @@ pub fn search_derivation(
     budget: &SearchBudget,
 ) -> SearchResult {
     let never = Cancellation::new();
-    search_derivation_cancellable(p, start, target, budget, &never)
+    search_derivation_tracked(p, start, target, budget, &never).result
 }
 
 /// A search outcome together with exact spend accounting, for the racing
@@ -229,27 +234,13 @@ pub struct TrackedSearch {
     pub cancelled: bool,
 }
 
-/// [`search_derivation`] with a cooperative [`Cancellation`] token, for
-/// racing against the finite-model search: the token is polled once per
-/// dequeued word and per registered state, and a cancelled run reports
-/// [`SearchResult::BudgetExhausted`] with the states visited so far (the
-/// caller that cancelled has its own certificate and discards this side's
-/// result). Use [`search_derivation_tracked`] when the caller must
-/// distinguish cancellation from genuine budget exhaustion.
-pub fn search_derivation_cancellable(
-    p: &Presentation,
-    start: &Word,
-    target: &Word,
-    budget: &SearchBudget,
-    cancel: &Cancellation,
-) -> SearchResult {
-    search_derivation_tracked(p, start, target, budget, cancel).result
-}
-
-/// [`search_derivation_cancellable`] with exact spend accounting: the
-/// returned [`TrackedSearch`] carries the states visited (even on success)
-/// and whether the run was cut short by the cancellation flag rather than
-/// by its own budget.
+/// [`search_derivation`] with a cooperative [`Cancellation`] token and
+/// exact spend accounting, for racing against the finite-model search:
+/// the token is polled once per dequeued word and per registered state,
+/// and the returned [`TrackedSearch`] carries the states visited (even on
+/// success) and whether the run was cut short by the cancellation flag
+/// rather than by its own budget. A cancelled run reports
+/// [`SearchResult::BudgetExhausted`] with the states visited so far.
 ///
 /// The search follows the visit-order contract in the module docs. The
 /// visited set is a flat word arena, so each registered word costs one
@@ -271,7 +262,7 @@ pub fn search_derivation_tracked(
     // One ticker unit per *registered* word (the start word included), so
     // `spent` is exactly the distinct-state count the reports need; mask 0
     // additionally observes the cancellation token at every registration.
-    let limit = budget.max_states.min(MAX_WORDS);
+    let limit = state_limit(budget, start.len());
     let mut ticker = Ticker::new(cancel, limit as u64, 0);
     let mut arena = WordArena::new(start.syms());
     let target = target.syms();
@@ -294,10 +285,10 @@ pub fn search_derivation_tracked(
             let parent = head;
             head += 1;
             let present = symbol_mask(&word);
-            for (eq_index, eq) in p.equations().iter().enumerate() {
-                for (from, to, forward) in [
-                    (eq.lhs.syms(), eq.rhs.syms(), true),
-                    (eq.rhs.syms(), eq.lhs.syms(), false),
+            for eq in p.equations() {
+                for (from, to) in [
+                    (eq.lhs.syms(), eq.rhs.syms()),
+                    (eq.rhs.syms(), eq.lhs.syms()),
                 ] {
                     // Every replacement of `from` by `to` has the same
                     // length, so one check covers all positions.
@@ -322,12 +313,7 @@ pub fn search_derivation_tracked(
                         if !ticker.tick() {
                             break 'bfs;
                         }
-                        let step = DerivStep {
-                            eq_index,
-                            pos,
-                            forward,
-                        };
-                        let id = arena.insert(vacancy, &next, parent, step);
+                        let id = arena.insert(vacancy, &next, parent);
                         if next == target {
                             found = Some(id);
                             break 'bfs;
@@ -352,25 +338,65 @@ pub fn search_derivation_tracked(
         };
     };
 
-    // Reconstruct the step sequence backwards from target.
-    let mut steps_rev = Vec::new();
+    // The arena keeps only parent ids, so walk the parent chain back from
+    // the target and recover each hop's step from its two words.
+    let mut steps = Vec::new();
     // td-lint: allow(budget-poll) parent-chain walk over the BFS tree already built above:
     // each hop moves to a strictly earlier-registered word, so it is bounded by `visited`
     // (which the ticker already charged during the search).
     while id != 0 {
-        let (prev, step) = arena.links[id];
-        steps_rev.push(step);
-        id = prev as usize;
+        let parent = arena.parents[id] as usize;
+        steps.push(
+            registering_step(p, arena.word(parent), arena.word(id))
+                .expect("a registered word is a one-step rewrite of its parent"),
+        );
+        id = parent;
     }
-    steps_rev.reverse();
+    steps.reverse();
     TrackedSearch {
         result: SearchResult::Found(Derivation {
             start: start.clone(),
-            steps: steps_rev,
+            steps,
         }),
         states: visited,
         cancelled: false,
     }
+}
+
+/// The step by which the search registered `child` while expanding
+/// `parent`: the first (equation, direction, position) in the visit
+/// order that rewrites `parent` into `child`. An earlier candidate
+/// yielding `child` would have registered it first, so this is exactly
+/// the candidate that did. `None` when no single step rewrites `parent`
+/// into `child`.
+fn registering_step(p: &Presentation, parent: &[Sym], child: &[Sym]) -> Option<DerivStep> {
+    // td-lint: allow(budget-poll) one bounded sweep of the equations over two words of at
+    // most `max_word_len` symbols, once per hop of a found derivation.
+    for (eq_index, eq) in p.equations().iter().enumerate() {
+        for (from, to, forward) in [
+            (eq.lhs.syms(), eq.rhs.syms(), true),
+            (eq.rhs.syms(), eq.lhs.syms(), false),
+        ] {
+            if from.len() > parent.len() || parent.len() - from.len() + to.len() != child.len() {
+                continue;
+            }
+            // A rewrite at `pos` keeps the symbols around the occurrence.
+            let rewrites_at = |pos: usize| {
+                parent[pos..pos + from.len()] == *from
+                    && child[pos..pos + to.len()] == *to
+                    && parent[..pos] == child[..pos]
+                    && parent[pos + from.len()..] == child[pos + to.len()..]
+            };
+            if let Some(pos) = (0..=parent.len() - from.len()).find(|&pos| rewrites_at(pos)) {
+                return Some(DerivStep {
+                    eq_index,
+                    pos,
+                    forward,
+                });
+            }
+        }
+    }
+    None
 }
 
 /// A 64-bit summary of the symbols in `w` (bit `sym mod 64`): a side
@@ -379,43 +405,77 @@ fn symbol_mask(w: &[Sym]) -> u64 {
     w.iter().fold(0, |m, s| m | 1 << (s.index() % 64))
 }
 
-/// The most words one search can register: arena ids are `u32` and the
-/// index, at most half full, must stay within 2³² slots so a slot's
-/// 32-bit tag still determines its home. A larger `max_states` is clamped
-/// to this (the symbols alone would not fit in memory long before).
-const MAX_WORDS: usize = 1 << 31;
+/// The most words one search can register: an index slot holds a 24-bit
+/// id, and the all-ones id marks an empty slot. A larger `max_states` is
+/// clamped to this (the engine's default of 200,000 is far below it); see
+/// [`state_limit`] for the other clamp.
+const MAX_WORDS: usize = (1 << 24) - 1;
 
-/// An empty [`WordArena`] index slot's id.
-const EMPTY: u32 = u32::MAX;
+/// The state limit of one search from a start word of `start_len`
+/// symbols: `max_states`, clamped to [`MAX_WORDS`] and so that the
+/// arena's symbols (the start word plus at most `max_word_len` per further
+/// word) stay addressable by its `u32` end offsets.
+fn state_limit(budget: &SearchBudget, start_len: usize) -> usize {
+    let room = (u32::MAX as usize).saturating_sub(start_len);
+    let words = 1 + room / budget.max_word_len.max(1);
+    budget.max_states.min(MAX_WORDS).min(words)
+}
+
+/// A [`WordArena`] word's end offset into its symbols.
+type End = u32;
+/// A [`WordArena`] word's parent id.
+type Parent = u32;
+/// A [`WordArena`] word's stored [`word_hash`].
+type Hash = u32;
+/// A [`WordArena`] index slot: a word id under an 8-bit tag.
+type Slot = u32;
+
+// The memory bound in the module docs counts 4 bytes for each per-word
+// record; these keep it from growing back unnoticed.
+const _: () = assert!(size_of::<End>() == 4);
+const _: () = assert!(size_of::<Parent>() == 4);
+const _: () = assert!(size_of::<Hash>() == 4);
+const _: () = assert!(size_of::<Slot>() == 4);
+
+/// A used [`Slot`] holds its word's id in the low `ID_BITS` bits and its
+/// tag, the low 8 bits of the word's [`Hash`], in the top 8.
+const ID_BITS: u32 = 24;
+const ID_MASK: Slot = (1 << ID_BITS) - 1;
+
+/// An empty [`WordArena`] index slot (its id bits are all ones, which no
+/// registered word has).
+const EMPTY: Slot = Slot::MAX;
 
 /// Index slots a search starts with: small, because the typical search
 /// registers a few hundred words and must stay cheap to set up.
 const INITIAL_SLOTS: usize = 16;
 
-/// The derivation search's visited set: every registered word, stored
-/// once, in registration order.
+/// The search's visited set: every registered word, stored once, in
+/// registration order.
 ///
 /// Word `id` occupies `syms[ends[id - 1]..ends[id]]` (`syms[..ends[0]]`
-/// for the start word, id 0). `links[id]` is the id it was reached from
-/// and the step taken (the start word links to itself with a dummy step).
-/// `slots` is an open-addressing index under linear probing: each used
-/// slot holds an id and the top 32 bits of its word's [`slice_hash`] (the
-/// tag), so a probe rarely touches a word that does not match and a
-/// rehash never touches the words at all. The index doubles whenever it
-/// would pass half full, so a probe always ends at an empty slot within a
-/// few steps.
+/// for the start word, id 0). `parents[id]` is the id it was reached
+/// from (the start word is its own parent); the step taken is not stored
+/// but recovered from the two words ([`registering_step`]). `hashes[id]`
+/// is the word's [`word_hash`]. `slots` is an open-addressing index under
+/// linear probing: each used slot packs an id with the low 8 bits of its
+/// word's hash (the tag), so a probe rarely touches a word that does not
+/// match, and a rehash re-slots from `hashes` without touching the words.
+/// The index doubles whenever it would pass half full, so a probe always
+/// ends at an empty slot within a few steps.
 struct WordArena {
     syms: Vec<Sym>,
-    ends: Vec<usize>,
-    links: Vec<(u32, DerivStep)>,
-    slots: Vec<(u32, u32)>,
+    ends: Vec<End>,
+    parents: Vec<Parent>,
+    hashes: Vec<Hash>,
+    slots: Vec<Slot>,
 }
 
 /// Where [`WordArena::find`] stopped for an unregistered word: the empty
-/// slot it belongs in, and its tag.
+/// slot it belongs in, and its hash.
 struct Vacancy {
     slot: usize,
-    tag: u32,
+    hash: Hash,
 }
 
 impl WordArena {
@@ -424,20 +484,16 @@ impl WordArena {
         let mut arena = Self {
             syms: Vec::new(),
             ends: Vec::new(),
-            links: Vec::new(),
-            slots: vec![(EMPTY, 0); INITIAL_SLOTS],
+            parents: Vec::new(),
+            hashes: Vec::new(),
+            slots: vec![EMPTY; INITIAL_SLOTS],
         };
-        let tag = hash_tag(start);
+        let hash = word_hash(start);
         let vacancy = Vacancy {
-            slot: home(tag, INITIAL_SLOTS),
-            tag,
+            slot: home(hash, INITIAL_SLOTS),
+            hash,
         };
-        let step = DerivStep {
-            eq_index: 0,
-            pos: 0,
-            forward: true,
-        };
-        arena.insert(vacancy, start, 0, step);
+        arena.insert(vacancy, start, 0);
         arena
     }
 
@@ -449,76 +505,88 @@ impl WordArena {
     /// The symbols of word `id`.
     fn word(&self, id: usize) -> &[Sym] {
         let from = if id == 0 { 0 } else { self.ends[id - 1] };
-        &self.syms[from..self.ends[id]]
+        &self.syms[from as usize..self.ends[id] as usize]
     }
 
     /// `Ok(id)` when `w` is registered, else where
     /// [`WordArena::insert`] must put it.
     fn find(&self, w: &[Sym]) -> Result<usize, Vacancy> {
         let mask = self.slots.len() - 1;
-        let tag = hash_tag(w);
-        let mut slot = home(tag, self.slots.len());
+        let hash = word_hash(w);
+        let tag = tag_bits(hash);
+        let mut slot = home(hash, self.slots.len());
         // td-lint: allow(budget-poll) the index is at most half full, so every probe
         // ends at an empty slot; it charges no state of its own.
         loop {
-            let (id, t) = self.slots[slot];
-            if id == EMPTY {
-                return Err(Vacancy { slot, tag });
+            let used = self.slots[slot];
+            if used == EMPTY {
+                return Err(Vacancy { slot, hash });
             }
-            if t == tag && self.word(id as usize) == w {
-                return Ok(id as usize);
+            let id = (used & ID_MASK) as usize;
+            if used & !ID_MASK == tag && self.word(id) == w {
+                return Ok(id);
             }
             slot = (slot + 1) & mask;
         }
     }
 
     /// Registers `w` at the [`Vacancy`] that [`WordArena::find`] returned,
-    /// reached from `parent` by `step`, and returns its id.
-    fn insert(&mut self, at: Vacancy, w: &[Sym], parent: usize, step: DerivStep) -> usize {
+    /// reached from `parent`, and returns its id.
+    fn insert(&mut self, at: Vacancy, w: &[Sym], parent: usize) -> usize {
         let id = self.len();
         self.syms.extend_from_slice(w);
-        self.ends.push(self.syms.len());
-        self.links.push((parent as u32, step));
-        self.slots[at.slot] = (id as u32, at.tag);
+        self.ends.push(
+            End::try_from(self.syms.len()).expect("state_limit keeps the symbols within u32"),
+        );
+        self.parents.push(parent as Parent);
+        self.hashes.push(at.hash);
+        self.slots[at.slot] = tag_bits(at.hash) | id as Slot;
         if 2 * self.len() > self.slots.len() {
             self.grow();
         }
         id
     }
 
-    /// Doubles the index and re-slots every used slot by its tag.
+    /// Doubles the index and re-slots every word by its stored hash.
     fn grow(&mut self) {
-        let mut slots = vec![(EMPTY, 0); 2 * self.slots.len()];
-        for &(id, tag) in self.slots.iter().filter(|&&(id, _)| id != EMPTY) {
-            let slot = vacant_slot(&slots, tag);
-            slots[slot] = (id, tag);
+        let mut slots = vec![EMPTY; 2 * self.slots.len()];
+        for (id, &hash) in self.hashes.iter().enumerate() {
+            let slot = vacant_slot(&slots, hash);
+            slots[slot] = tag_bits(hash) | id as Slot;
         }
         self.slots = slots;
     }
 }
 
-/// The first empty slot from `tag`'s home on, for re-slotting a word
+/// The first empty slot from `hash`'s home on, for re-slotting a word
 /// already known to be absent.
-fn vacant_slot(slots: &[(u32, u32)], tag: u32) -> usize {
-    let mut slot = home(tag, slots.len());
+fn vacant_slot(slots: &[Slot], hash: Hash) -> usize {
+    let mut slot = home(hash, slots.len());
     // td-lint: allow(budget-poll) a rehash re-slots only words the ticker already
     // charged, and the doubled index is at most a quarter full, so each probe ends.
-    while slots[slot].0 != EMPTY {
+    while slots[slot] != EMPTY {
         slot = (slot + 1) & (slots.len() - 1);
     }
     slot
 }
 
-/// The home slot of `tag` in an index of `n` slots (a power of two, at
-/// most 2³²): the tag's top bits, which the multiplicative hash mixes
+/// The home slot of `hash` in an index of `n` slots (a power of two, at
+/// most 2³²): the hash's top bits, which the multiplicative hash mixes
 /// best.
-fn home(tag: u32, n: usize) -> usize {
-    (u64::from(tag) >> (32 - n.trailing_zeros())) as usize
+fn home(hash: Hash, n: usize) -> usize {
+    (u64::from(hash) >> (32 - n.trailing_zeros())) as usize
 }
 
-/// The top 32 bits of [`slice_hash`]: a word's index tag.
-fn hash_tag(w: &[Sym]) -> u32 {
-    (slice_hash(w) >> 32) as u32
+/// The tag of a word with hash `hash`, in place in a [`Slot`]: the hash's
+/// low 8 bits, disjoint from the home bits of any index of at most 2²⁴
+/// slots.
+fn tag_bits(hash: Hash) -> Slot {
+    hash << ID_BITS
+}
+
+/// The top 32 bits of [`slice_hash`]: a word's stored hash.
+fn word_hash(w: &[Sym]) -> Hash {
+    (slice_hash(w) >> 32) as Hash
 }
 
 /// A fast non-cryptographic hash of a word (the Fx multiply-rotate
@@ -545,19 +613,8 @@ pub fn search_goal_derivation(p: &Presentation, budget: &SearchBudget) -> Search
     search_derivation(p, &goal.lhs, &goal.rhs, budget)
 }
 
-/// [`search_goal_derivation`] with a cooperative cancellation flag (see
-/// [`search_derivation_cancellable`]).
-pub fn search_goal_derivation_cancellable(
-    p: &Presentation,
-    budget: &SearchBudget,
-    cancel: &Cancellation,
-) -> SearchResult {
-    let goal = p.goal();
-    search_derivation_cancellable(p, &goal.lhs, &goal.rhs, budget, cancel)
-}
-
-/// [`search_goal_derivation_cancellable`] with exact spend accounting (see
-/// [`search_derivation_tracked`]).
+/// [`search_goal_derivation`] with a cooperative cancellation token and
+/// exact spend accounting (see [`search_derivation_tracked`]).
 pub fn search_goal_derivation_tracked(
     p: &Presentation,
     budget: &SearchBudget,

@@ -312,7 +312,7 @@ pub fn find_counter_model(
     opts: &ModelSearchOptions,
 ) -> Result<ModelSearchResult> {
     let never = Cancellation::new();
-    find_counter_model_cancellable(p, opts, &never)
+    Ok(find_counter_model_tracked(p, opts, &never)?.result)
 }
 
 /// A model-search outcome together with exact spend accounting, for the
@@ -335,29 +335,12 @@ pub struct TrackedModelSearch {
     pub cancelled: bool,
 }
 
-/// [`find_counter_model`] with a cooperative [`Cancellation`] token, for
-/// racing against the derivation search: the token is polled every few
-/// hundred search nodes, and a cancelled run reports
-/// [`ModelSearchResult::BudgetExhausted`] with the nodes visited so far
-/// (the caller that cancelled has its own certificate and discards this
-/// side's result). Use [`find_counter_model_tracked`] when the caller must
-/// distinguish cancellation from genuine budget exhaustion.
-///
-/// # Errors
-///
-/// Same as [`find_counter_model`].
-pub fn find_counter_model_cancellable(
-    p: &Presentation,
-    opts: &ModelSearchOptions,
-    cancel: &Cancellation,
-) -> Result<ModelSearchResult> {
-    Ok(find_counter_model_tracked(p, opts, cancel)?.result)
-}
-
-/// [`find_counter_model_cancellable`] with exact spend accounting: the
-/// returned [`TrackedModelSearch`] carries the nodes visited (even on
-/// success) and whether the run was cut short by the cancellation flag
-/// rather than by its own budgets.
+/// [`find_counter_model`] with a cooperative [`Cancellation`] token and
+/// exact spend accounting, for racing against the derivation search: the
+/// token is polled before every interpretation and every 1024 search
+/// nodes, and the returned [`TrackedModelSearch`] carries the nodes
+/// visited (even on success) and whether the run was cut short by the
+/// cancellation flag rather than by its own budgets.
 ///
 /// # Errors
 ///

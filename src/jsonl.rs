@@ -14,12 +14,21 @@
 //! by anything but whitespace — `{"a":1} {"a":2}` crammed onto one JSONL
 //! line, a stray `]`, a second scalar — is rejected as trailing garbage,
 //! never silently ignored.
+//!
+//! Nesting is capped at [`MAX_DEPTH`] arrays and objects: the parser
+//! recurses once per level, and a client line of a few thousand `[` would
+//! otherwise overflow the stack, which aborts the whole process rather
+//! than failing the one line.
 
 // The serve layer feeds this parser raw client bytes: everything here
 // must degrade to a structured `JsonError`, never a panic. The td-lint
 // panic-path pass enforces the same rule lexically; this clippy pair
 // keeps `cargo clippy` aligned with it.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts: the
+/// bracket that would open level `MAX_DEPTH + 1` is a parse error.
+pub const MAX_DEPTH: usize = 64;
 
 /// A JSON parse error: what went wrong and where.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,7 +80,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError::new(
@@ -258,12 +267,18 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses the value at `pos`, which sits inside `depth` arrays and
+/// objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(JsonError::new(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(JsonError::new(
+            *pos,
+            format!("nesting deeper than {MAX_DEPTH} arrays and objects"),
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -409,7 +424,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses the array at `pos`, which opens nesting level `depth`.
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -418,7 +434,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -431,7 +447,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses the object at `pos`, which opens nesting level `depth`.
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -444,7 +461,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -543,6 +560,26 @@ mod tests {
         assert_eq!(err.byte, 5, "{err}");
         let err = Json::parse("[1, oops]").unwrap_err();
         assert_eq!(err.byte, 4, "{err}");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        // Exactly MAX_DEPTH levels parse, arrays and objects alike.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok());
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+        // One more level fails at the bracket that opens it, and so does a
+        // line far too deep to recurse through.
+        for (text, byte) in [
+            (format!("[{deepest}]"), MAX_DEPTH),
+            (format!(r#"{{"a":{objects}}}"#), 5 * MAX_DEPTH),
+            (" [".repeat(30_000), 2 * MAX_DEPTH + 1),
+        ] {
+            let err = Json::parse(&text).unwrap_err();
+            assert_eq!(err.byte, byte, "{err}");
+            assert!(err.msg.contains("nesting deeper than 64"), "{err}");
+        }
     }
 
     #[test]

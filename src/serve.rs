@@ -1208,6 +1208,31 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_lines_get_one_error_reply() {
+        // Recursing once per `[` would overflow a 2 MiB stack here; the
+        // depth cap fails the line at its 65th bracket, well within 256 KiB.
+        let engine = Engine::new();
+        let line = "[".repeat(30_000);
+        let reply = std::thread::scope(|s| {
+            std::thread::Builder::new()
+                .stack_size(256 * 1024)
+                .spawn_scoped(s, || handle_line(&engine, &line))
+                .unwrap()
+                .join()
+                .unwrap()
+        });
+        assert!(
+            reply
+                .text
+                .starts_with("{\"id\":null,\"ok\":false,\"error\":{\"msg\":"),
+            "{reply:?}"
+        );
+        assert!(reply.text.contains("\"byte\":64"), "{reply:?}");
+        assert!(!reply.text.contains('\n'), "one reply line: {reply:?}");
+        assert!(!reply.shutdown);
+    }
+
+    #[test]
     fn wp_requests_share_the_cache() {
         let engine = Engine::new();
         let first = handle_line(&engine, &wp_line("a", false));

@@ -34,6 +34,22 @@ fn arb_presentation() -> impl Strategy<Value = Presentation> {
     })
 }
 
+/// `p` with every equation listed twice, the second copy of every other
+/// one reversed, so most rewrites can be made by several (equation,
+/// direction) candidates and the arena's step recovery must pick the one
+/// the search registered the word with.
+fn with_duplicates(p: &Presentation) -> Presentation {
+    let mut eqs = p.equations().to_vec();
+    for (i, eq) in p.equations().iter().enumerate() {
+        eqs.push(if i % 2 == 0 {
+            eq.clone()
+        } else {
+            Equation::new(eq.rhs.clone(), eq.lhs.clone())
+        });
+    }
+    Presentation::new(p.alphabet().clone(), eqs).unwrap()
+}
+
 /// The reference derivation search: the original `HashMap`-of-parents
 /// BFS, kept verbatim as the differential oracle for
 /// [`search_derivation_tracked`]. Both must agree on the whole
@@ -172,6 +188,27 @@ proptest! {
         for (s, t) in [(&goal.lhs, &goal.rhs), (&start, &target)] {
             let arena = search_derivation_tracked(&p, s, t, &budget, &cancel);
             let reference = reference_search(&p, s, t, &budget, &cancel);
+            prop_assert_eq!(arena, reference);
+        }
+    }
+
+    /// With duplicated and reversed equations, the steps the arena
+    /// recovers from its parent chain are the ones the reference BFS
+    /// stored when it registered each word.
+    #[test]
+    fn arena_steps_match_reference_on_ambiguous_rewrites(
+        p in arb_presentation(),
+        start in arb_word(3, 4),
+        target in arb_word(3, 3),
+        max_word_len in 1..7usize,
+    ) {
+        let p = with_duplicates(&p);
+        let budget = SearchBudget { max_word_len, max_states: 2_000 };
+        let never = Cancellation::new();
+        let goal = p.goal();
+        for (s, t) in [(&goal.lhs, &goal.rhs), (&start, &target)] {
+            let arena = search_derivation_tracked(&p, s, t, &budget, &never);
+            let reference = reference_search(&p, s, t, &budget, &never);
             prop_assert_eq!(arena, reference);
         }
     }
@@ -400,6 +437,46 @@ fn quotient_classes_contain_their_queries() {
     assert!(class.contains(&a0));
     for w in &class {
         assert_eq!(q.equal(&a0, w), Some(true));
+    }
+}
+
+/// Rewrites that several candidates make: a duplicated equation, the same
+/// equation reversed, and overlapping occurrences (`A0 A0` twice in
+/// `A0 A0 A0`, thrice in `A0 A0 A0 A0`). Each hop's step is the first
+/// candidate in the visit order, exactly as the reference BFS records it.
+#[test]
+fn ambiguous_steps_are_the_registering_ones() {
+    let step = |eq_index, pos, forward| DerivStep {
+        eq_index,
+        pos,
+        forward,
+    };
+    let alphabet = Alphabet::standard(2); // A0 A1 0
+    let eqs = ["A0 A0 = A1", "A0 A0 = A1", "A1 = A0 A0", "A0 A0 = A0"]
+        .map(|e| Equation::parse(e, &alphabet).unwrap())
+        .to_vec();
+    let p = Presentation::new(alphabet, eqs).unwrap();
+    let word = |w: &str| Word::parse(w, p.alphabet()).unwrap();
+    let budget = SearchBudget::default();
+    let never = Cancellation::new();
+    for (start, target, steps) in [
+        ("A0 A0 A0", "A1 A0", vec![step(0, 0, true)]),
+        ("A0 A0 A0", "A0 A1", vec![step(0, 1, true)]),
+        ("A1 A0", "A0 A1", vec![step(0, 0, false), step(0, 1, true)]),
+        ("A0 A0 A0 A0", "A0 A0 A0", vec![step(3, 0, true)]),
+        (
+            "A0 A0 A0 A0",
+            "A0",
+            vec![step(3, 0, true), step(3, 0, true), step(3, 0, true)],
+        ),
+    ] {
+        let (start, target) = (word(start), word(target));
+        let arena = search_derivation_tracked(&p, &start, &target, &budget, &never);
+        let reference = reference_search(&p, &start, &target, &budget, &never);
+        assert_eq!(arena, reference);
+        let d = arena.result.derivation().expect("reachable");
+        assert_eq!(d.steps, steps);
+        d.verify(&p, &start, &target).unwrap();
     }
 }
 

@@ -256,6 +256,23 @@ fn listen_clients_get_structured_errors_and_survive_them() {
     );
     assert!(batch.contains("\"evictions\":0"), "{batch}");
 
+    // A line nested far deeper than the JSON parser's cap fails alone: it
+    // gets an error reply, and a fresh connection is still served.
+    let ask_fresh = |req: &str| -> String {
+        let stream = TcpStream::connect(&addr).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut writer = stream;
+        writeln!(writer, "{req}").expect("send");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reply");
+        line.trim().to_owned()
+    };
+    let err = ask_fresh(&"[".repeat(10_000));
+    assert!(err.starts_with("{\"id\":null,\"ok\":false,"), "{err}");
+    assert!(err.contains("nesting deeper than 64"), "{err}");
+    let ok = ask_fresh(&wp_request("after-nesting", 0, true));
+    assert!(ok.contains("\"verdict\":\"implied\""), "{ok}");
+
     let bye = ask("{\"id\":\"q\",\"op\":\"shutdown\"}");
     assert!(bye.contains("\"op\":\"shutdown\""));
     let status = wait_with_deadline(&mut child, Duration::from_secs(60));

@@ -8,8 +8,9 @@
 //! * **lock-discipline** — no `RwLock`/`Mutex` guard live across a call
 //!   into the solver or blocking I/O; shard locks acquired in ascending
 //!   index order.
-//! * **budget-poll** — every loop body in the search/chase hot paths
-//!   reaches a `Ticker::tick`/`Cancellation` poll.
+//! * **budget-poll** — every loop body and every recursive fn in the
+//!   search/chase hot paths reaches a `Ticker::tick`/`Cancellation` poll
+//!   (a recursive fn may instead take the `Ticker`/`Cancellation`).
 //! * **panic-path** — no `unwrap()`/`expect()`/`panic!`/indexing in the
 //!   request-path files (`src/serve.rs`, `crates/reduction/src/engine.rs`,
 //!   `src/jsonl.rs`).

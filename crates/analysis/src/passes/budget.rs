@@ -16,6 +16,11 @@
 //! same-file fixpoint, because the chase routes its polls through a
 //! `poll_cancelled` helper.
 //!
+//! Recursion is a loop too. A function that can call itself through
+//! same-file calls must take a `Ticker` or `Cancellation` (named in its
+//! signature) or reach a poll in its body; otherwise it needs an allow
+//! that states what bounds it.
+//!
 //! [`Ticker`]: https://docs.rs/td-core
 //! [`Cancellation`]: https://docs.rs/td-core
 
@@ -23,12 +28,15 @@ use std::collections::HashSet;
 
 use super::Pass;
 use crate::lexer::TokKind;
-use crate::shape::{functions, loops, LoopKind};
+use crate::shape::{functions, loops, Func, LoopKind};
 use crate::source::{Diagnostic, SourceFile};
 
 /// See the module docs.
 #[derive(Debug)]
 pub struct BudgetPoll;
+
+/// Types whose presence in a signature means the function is budgeted.
+const BUDGET_TYPES: [&str; 2] = ["Ticker", "Cancellation"];
 
 /// Identifiers that constitute a poll observation.
 const POLL_TOKENS: [&str; 4] = ["tick", "poll", "poll_cancelled", "is_cancelled"];
@@ -64,7 +72,81 @@ impl Pass for BudgetPoll {
                 ),
             });
         }
+        let fns = functions(sf);
+        for (i, f) in fns.iter().enumerate() {
+            let Some(body) = f.body else { continue };
+            let kw = &sf.tokens[f.kw_idx];
+            if sf.in_test_region(kw.line)
+                || !recursive(sf, &fns, i)
+                || takes_budget(sf, f, body.0)
+                || body_polls(sf, body, &polling)
+            {
+                continue;
+            }
+            out.push(Diagnostic {
+                pass: "budget-poll".to_string(),
+                file: sf.path.clone(),
+                line: kw.line,
+                col: kw.col,
+                msg: format!(
+                    "recursive fn `{}` neither takes a Ticker/Cancellation nor reaches a \
+                     poll; pass the budget down (or state its bound with \
+                     `// td-lint: allow(budget-poll) <why>`)",
+                    f.name
+                ),
+            });
+        }
     }
+}
+
+/// `true` if the signature of `f` (its tokens before the body brace at
+/// `open`) names a budget type.
+fn takes_budget(sf: &SourceFile, f: &Func, open: usize) -> bool {
+    sf.tokens[f.name_idx..open]
+        .iter()
+        .any(|t| t.kind == TokKind::Ident && BUDGET_TYPES.contains(&t.text.as_str()))
+}
+
+/// The names `body` calls as same-file functions: bare calls `name(…)`,
+/// and methods called as `self.name(…)` or `Self::name(…)`. A method
+/// called on any other receiver or path is some other type's.
+fn callees(sf: &SourceFile, body: (usize, usize)) -> HashSet<&str> {
+    let tok = |i: usize, k: usize| i.checked_sub(k).map(|j| &sf.tokens[j]);
+    (body.0..body.1)
+        .filter(|&i| {
+            if sf.tokens[i].kind != TokKind::Ident || !sf.tokens[i + 1].is_punct('(') {
+                return false;
+            }
+            match tok(i, 1) {
+                Some(t) if t.is_punct('.') => tok(i, 2).is_some_and(|t| t.is_ident("self")),
+                Some(t) if t.is_punct(':') => tok(i, 3).is_some_and(|t| t.is_ident("Self")),
+                Some(t) => !t.is_ident("fn"),
+                None => true,
+            }
+        })
+        .map(|i| sf.tokens[i].text.as_str())
+        .collect()
+}
+
+/// `true` if `fns[start]` can reach a call to its own name through the
+/// calls of same-file functions (matched by name, so two methods that
+/// share a name are one node).
+fn recursive(sf: &SourceFile, fns: &[Func], start: usize) -> bool {
+    let target = fns[start].name.as_str();
+    let mut seen: HashSet<&str> = HashSet::new();
+    let mut stack = vec![start];
+    while let Some(i) = stack.pop() {
+        let Some(body) = fns[i].body else { continue };
+        for name in callees(sf, body) {
+            if name == target {
+                return true;
+            }
+            if seen.insert(name) {
+                stack.extend((0..fns.len()).filter(|&j| fns[j].name == name));
+            }
+        }
+    }
+    false
 }
 
 /// `true` if the token range `body` contains a poll token or a call to a
@@ -149,6 +231,32 @@ fn outer(c: &C) -> bool { inner(c) }
 fn f(c: &C) { loop { if outer(c) { break; } } }
 ";
         assert!(findings(src).is_empty());
+    }
+
+    #[test]
+    fn unbudgeted_recursion_is_flagged() {
+        let d = findings("fn walk(n: u32) -> u32 { if n == 0 { 0 } else { walk(n - 1) } }");
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].msg.contains("recursive fn `walk`"));
+        // Mutual recursion through same-file calls counts too.
+        let d = findings("fn even(n: u32) -> bool { n == 0 || odd(n - 1) }\nfn odd(n: u32) -> bool { n != 0 && even(n - 1) }");
+        assert_eq!(d.len(), 2, "{d:?}");
+    }
+
+    #[test]
+    fn recursion_taking_or_polling_a_budget_is_clean() {
+        let takes = "fn walk(n: u32, t: &mut Ticker) -> bool { n == 0 || walk(n - 1, t) }";
+        assert!(findings(takes).is_empty());
+        let polls =
+            "fn dfs(&mut self) -> bool { if !self.ticker.tick() { return false; } self.dfs() }";
+        assert!(findings(polls).is_empty());
+        // A call to a different function is not recursion, and neither
+        // is a same-named method of another receiver or type.
+        assert!(findings("fn f() { g(); } fn g() {}").is_empty());
+        assert!(findings("fn len(&self) -> usize { self.items.len() }").is_empty());
+        assert!(findings("fn zeros(&self) -> u32 { <u64>::zeros(self.0) }").is_empty());
+        let d = findings("fn len(&self) -> usize { Self::len(self) }");
+        assert_eq!(d.len(), 1, "{d:?}");
     }
 
     #[test]

@@ -108,6 +108,8 @@ pub fn weakly_acyclic(tds: &[Td]) -> bool {
         }
     }
     // Cycle detection by DFS (colors: 0 white, 1 gray, 2 black).
+    // td-lint: allow(budget-poll) each attribute turns gray once, so the recursion is
+    // at most `n` (the schema arity) deep and visits each attribute once.
     fn dfs(u: usize, adj: &[Vec<bool>], color: &mut [u8]) -> bool {
         color[u] = 1;
         for (v, &edge) in adj[u].iter().enumerate() {

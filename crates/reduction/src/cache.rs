@@ -281,6 +281,11 @@ impl DecisionCache {
         self.shard_capacity
     }
 
+    /// Maximum entries the whole cache holds: shards × per-shard capacity.
+    pub fn capacity(&self) -> usize {
+        self.shards.len().saturating_mul(self.shard_capacity)
+    }
+
     /// Cumulative number of entries evicted to make room for new keys.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)

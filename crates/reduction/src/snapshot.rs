@@ -301,9 +301,79 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     result
 }
 
+/// The largest image [`encode`] writes for `entries` entries: the header,
+/// one record per entry and the checksum.
+pub fn max_image_bytes(entries: usize) -> u64 {
+    let records = (entries as u64).saturating_mul(RECORD_BYTES as u64);
+    records.saturating_add((HEADER_BYTES + CHECKSUM_BYTES) as u64)
+}
+
+/// Reads the snapshot file at `path` for a cache that holds at most
+/// `capacity` entries, never buffering more than the
+/// [`max_image_bytes`]`(capacity)` bytes such a cache can save, plus one.
+///
+/// # Errors
+///
+/// Fails with [`std::io::ErrorKind::InvalidInput`] when `path` is not a
+/// regular file (a device such as `/dev/zero`, a FIFO, a directory; it is
+/// refused before it is opened), with [`std::io::ErrorKind::InvalidData`]
+/// when the file is larger than that bound, and with the underlying I/O
+/// error when the file cannot be opened or read. Nothing is returned
+/// from an oversized file, so nothing of it is loaded.
+pub fn read_bounded(path: &Path, capacity: usize) -> std::io::Result<Vec<u8>> {
+    use std::io::{Error, ErrorKind, Read};
+    let not_regular = || Error::new(ErrorKind::InvalidInput, "not a regular file");
+    if !std::fs::metadata(path)?.is_file() {
+        return Err(not_regular());
+    }
+    let file = std::fs::File::open(path)?;
+    // The path may have been replaced between the two checks.
+    if !file.metadata()?.is_file() {
+        return Err(not_regular());
+    }
+    let max = max_image_bytes(capacity);
+    let mut bytes = Vec::new();
+    file.take(max.saturating_add(1)).read_to_end(&mut bytes)?;
+    if bytes.len() as u64 > max {
+        return Err(Error::new(
+            ErrorKind::InvalidData,
+            format!(
+                "larger than {max} bytes, the largest snapshot of a cache of \
+                 {capacity} entries"
+            ),
+        ));
+    }
+    Ok(bytes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bounded_read_refuses_devices_and_oversized_files() {
+        // A device is refused without reading a byte.
+        let err = read_bounded(Path::new("/dev/zero"), 16).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+
+        let dir = std::env::temp_dir().join(format!("tdq-bounded-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.tdsnap");
+        let entries: Vec<_> = (0..4).map(entry).collect();
+        let image = encode(&entries);
+        assert_eq!(image.len() as u64, max_image_bytes(4));
+        std::fs::write(&path, &image).unwrap();
+        // An image at the bound reads back whole; one entry fewer of
+        // capacity refuses it.
+        assert_eq!(read_bounded(&path, 4).unwrap(), image);
+        let err = read_bounded(&path, 3).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("larger than"), "{err}");
+        // A directory is not a regular file either.
+        let err = read_bounded(&dir, 4).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     fn entry(n: u64) -> (CanonKey, CachedOutcome) {
         let verdict = if n % 2 == 0 {

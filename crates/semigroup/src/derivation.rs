@@ -30,15 +30,24 @@
 //! derivation is the first shortest one in this order.
 //!
 //! `max_states` also bounds memory. Each registered word is stored once,
-//! in a flat arena: its symbols (2 bytes each, so at most
-//! `2 · max_word_len` bytes), a 4-byte end offset, a 4-byte parent id, a
-//! 4-byte hash and 2–4 slots of a 4-byte hash index, so at most
-//! `2 · max_word_len + 28` bytes per state before vector growth slack.
-//! The step that reached a word is not stored: a found derivation's steps
-//! are recovered along its parent chain, each as the first candidate in
-//! the order above that rewrites the parent into the child, which is the
-//! candidate that registered it. Candidates are built in one reusable
-//! buffer; nothing is allocated per candidate.
+//! as one integer key: symbol `i` in bits `i·b .. (i+1)·b` as its index
+//! plus one, where `b = ⌈log₂(|alphabet| + 1)⌉`, so the first zero field
+//! ends the word. The key is a `u64` (8 bytes) when `b · max(max_word_len,
+//! |start|)` is at most 64 bits, a `u128` (16 bytes) when at most 128, and
+//! otherwise a vector of 64-bit limbs (24 bytes plus 8 per limb). Besides
+//! its key a word costs a 4-byte parent id and 2–4 slots of a 4-byte hash
+//! index: 20–28 bytes per state with `u64` keys, 28–36 with `u128` keys,
+//! before vector growth slack. The step that reached a word is not
+//! stored: a found derivation's steps are recovered along its parent
+//! chain, each as the first candidate in the order above that rewrites
+//! the parent into the child, which is the candidate that registered it.
+//!
+//! Successors cost no copying. For each dequeued word the search builds
+//! one position bitmask per symbol it contains; a side's occurrences are
+//! the AND of its symbols' masks, each shifted by its offset in the side,
+//! and walking the set bits upward visits them left to right. A
+//! successor's key is spliced from its parent's with shifts and masks,
+//! and its hash is one multiply of the key.
 
 use td_core::budget::{Cancellation, Ticker};
 
@@ -161,8 +170,7 @@ pub struct SearchBudget {
     /// exhausting this bound does **not** refute derivability).
     pub max_word_len: usize,
     /// Maximum number of distinct words to visit. A search visits at most
-    /// 2²⁴ − 1 words, and at most as many as fit 2³² symbols at
-    /// `max_word_len` each.
+    /// 2²⁴ − 1 words.
     pub max_states: usize,
 }
 
@@ -242,9 +250,10 @@ pub struct TrackedSearch {
 /// rather than by its own budget. A cancelled run reports
 /// [`SearchResult::BudgetExhausted`] with the states visited so far.
 ///
-/// The search follows the visit-order contract in the module docs. The
-/// visited set is a flat word arena, so each registered word costs one
-/// copy of its symbols plus fixed per-state bookkeeping.
+/// The search follows the visit-order contract in the module docs. Each
+/// registered word is one packed integer key: the narrowest of `u64`,
+/// `u128` and an unbounded limb vector that holds the longest word the
+/// search can register.
 pub fn search_derivation_tracked(
     p: &Presentation,
     start: &Word,
@@ -259,67 +268,113 @@ pub fn search_derivation_tracked(
             cancelled: false,
         };
     }
+    // Codes run from 1 to the largest symbol index + 1 (0 ends a word);
+    // the presentation's symbols are within its alphabet, and the end
+    // words are counted in case they are not.
+    let codes = start
+        .syms()
+        .iter()
+        .chain(target.syms())
+        .map(|s| s.index() + 1)
+        .fold(p.alphabet().len(), usize::max);
+    let bits = usize::BITS - codes.leading_zeros();
+    // The start word and successors of at most `max_word_len` symbols
+    // are all a search registers.
+    let width = start.len().max(budget.max_word_len);
+    let width_bits = width.saturating_mul(bits as usize);
+    if width_bits <= 64 {
+        packed_search::<u64>(p, start, target, budget, cancel, codes, bits)
+    } else if width_bits <= 128 {
+        packed_search::<u128>(p, start, target, budget, cancel, codes, bits)
+    } else {
+        packed_search::<Wide>(p, start, target, budget, cancel, codes, bits)
+    }
+}
+
+/// The search body, over keys of type `K` holding symbols of `bits` bits
+/// with codes `1..=codes`. The caller picks a `K` that holds every word
+/// the search can register.
+fn packed_search<K: Packed>(
+    p: &Presentation,
+    start: &Word,
+    target: &Word,
+    budget: &SearchBudget,
+    cancel: &Cancellation,
+    codes: usize,
+    bits: u32,
+) -> TrackedSearch {
     // One ticker unit per *registered* word (the start word included), so
     // `spent` is exactly the distinct-state count the reports need; mask 0
     // additionally observes the cancellation token at every registration.
-    let limit = state_limit(budget, start.len());
+    let limit = budget.max_states.min(MAX_WORDS);
     let mut ticker = Ticker::new(cancel, limit as u64, 0);
-    let mut arena = WordArena::new(start.syms());
-    let target = target.syms();
+    let rules = rules::<K>(p, bits);
+    let mut words = WordSet::new(pack::<K>(start.syms(), bits));
+    // A target too long for `K` is longer than every registered word.
+    let target = (target.len() as u64 * u64::from(bits) <= u64::from(K::BITS))
+        .then(|| pack::<K>(target.syms(), bits));
     let mut found = None;
-    // The dequeued word and the candidate successor, reused across the
-    // whole search: a candidate reaches the arena only when it is new.
+    // The dequeued word, and for each code the set of positions
+    // where the dequeued word has it (empty for codes it lacks).
     let mut word: Vec<Sym> = Vec::new();
-    let mut next: Vec<Sym> = Vec::new();
+    let mut positions = vec![K::zero(); codes + 1];
 
     if ticker.tick() {
         // Words are dequeued in registration order, so the queue is a
-        // cursor over arena ids.
+        // cursor over word ids.
         let mut head = 0;
-        'bfs: while head < arena.len() {
+        'bfs: while head < words.len() {
             if !ticker.poll() {
                 break 'bfs;
             }
-            word.clear();
-            word.extend_from_slice(arena.word(head));
+            let key = words.keys[head].clone();
             let parent = head;
             head += 1;
-            let present = symbol_mask(&word);
-            for eq in p.equations() {
-                for (from, to) in [
-                    (eq.lhs.syms(), eq.rhs.syms()),
-                    (eq.rhs.syms(), eq.lhs.syms()),
-                ] {
-                    // Every replacement of `from` by `to` has the same
-                    // length, so one check covers all positions.
-                    if from == to
-                        || symbol_mask(from) & !present != 0
-                        || from.len() > word.len()
-                        || word.len() - from.len() + to.len() > budget.max_word_len
-                    {
+            unpack(&key, bits, &mut word);
+            for (i, s) in word.iter().enumerate() {
+                let c = s.index() + 1;
+                positions[c] = positions[c].clone().or(&K::small(1).shl(i as u32));
+            }
+            for rule in &rules {
+                // Every replacement of `from` by `to` has the same length,
+                // so one check covers all positions.
+                if rule.from_len > word.len()
+                    || word.len() - rule.from_len + rule.to_len > budget.max_word_len
+                {
+                    continue;
+                }
+                // `from` occurs at `pos` iff its `j`-th symbol is at
+                // `pos + j` for every `j`.
+                let mut occurrences = positions[rule.from.field(0, bits)].clone();
+                for j in 1..rule.from_len as u32 {
+                    let c = rule.from.field(j * bits, bits);
+                    occurrences = occurrences.and(&positions[c].clone().shr(j));
+                }
+                // Ascending positions: left to right, as the contract says.
+                while !occurrences.is_zero() {
+                    let at = occurrences.trailing_zeros() * bits;
+                    occurrences.clear_lowest();
+                    let next = key
+                        .clone()
+                        .low(at)
+                        .or(&rule.to.clone().shl(at))
+                        .or(&key.clone().shr(at + rule.from_bits).shl(at + rule.to_bits));
+                    let Err(vacancy) = words.find(&next) else {
                         continue;
+                    };
+                    if !ticker.tick() {
+                        break 'bfs;
                     }
-                    for pos in 0..=word.len() - from.len() {
-                        if word[pos..pos + from.len()] != *from {
-                            continue;
-                        }
-                        next.clear();
-                        next.extend_from_slice(&word[..pos]);
-                        next.extend_from_slice(to);
-                        next.extend_from_slice(&word[pos + from.len()..]);
-                        let Err(vacancy) = arena.find(&next) else {
-                            continue;
-                        };
-                        if !ticker.tick() {
-                            break 'bfs;
-                        }
-                        let id = arena.insert(vacancy, &next, parent);
-                        if next == target {
-                            found = Some(id);
-                            break 'bfs;
-                        }
+                    let is_target = target.as_ref() == Some(&next);
+                    let id = words.insert(vacancy, next, parent);
+                    if is_target {
+                        found = Some(id);
+                        break 'bfs;
                     }
                 }
+            }
+            for s in &word {
+                positions[s.index() + 1] = K::zero();
             }
         }
     }
@@ -338,19 +393,22 @@ pub fn search_derivation_tracked(
         };
     };
 
-    // The arena keeps only parent ids, so walk the parent chain back from
-    // the target and recover each hop's step from its two words.
+    // The word set keeps only parent ids, so walk the parent chain back
+    // from the target and recover each hop's step from its two words.
     let mut steps = Vec::new();
+    let (mut child, mut parent) = (Vec::new(), Vec::new());
+    unpack(&words.keys[id], bits, &mut child);
     // td-lint: allow(budget-poll) parent-chain walk over the BFS tree already built above:
     // each hop moves to a strictly earlier-registered word, so it is bounded by `visited`
     // (which the ticker already charged during the search).
     while id != 0 {
-        let parent = arena.parents[id] as usize;
+        id = words.parents[id] as usize;
+        unpack(&words.keys[id], bits, &mut parent);
         steps.push(
-            registering_step(p, arena.word(parent), arena.word(id))
+            registering_step(p, &parent, &child)
                 .expect("a registered word is a one-step rewrite of its parent"),
         );
-        id = parent;
+        std::mem::swap(&mut parent, &mut child);
     }
     steps.reverse();
     TrackedSearch {
@@ -399,42 +457,290 @@ fn registering_step(p: &Presentation, parent: &[Sym], child: &[Sym]) -> Option<D
     None
 }
 
-/// A 64-bit summary of the symbols in `w` (bit `sym mod 64`): a side
-/// whose mask is not within a word's mask cannot occur in it.
-fn symbol_mask(w: &[Sym]) -> u64 {
-    w.iter().fold(0, |m, s| m | 1 << (s.index() % 64))
+/// One direction of one equation, as the search applies it: replace an
+/// occurrence of `from` by `to`.
+struct Rule<K> {
+    /// The replaced side, packed.
+    from: K,
+    /// Length of the replaced side.
+    from_len: usize,
+    /// The replacing side, packed.
+    to: K,
+    /// Length of the replacing side.
+    to_len: usize,
+    /// Bits of the replaced and the replacing side.
+    from_bits: u32,
+    to_bits: u32,
+}
+
+/// The rules in visit order: equation by equation, lhs→rhs before
+/// rhs→lhs, no rule for an equation whose sides are equal.
+fn rules<K: Packed>(p: &Presentation, bits: u32) -> Vec<Rule<K>> {
+    let rule = |from: &Word, to: &Word| Rule {
+        from: pack(from.syms(), bits),
+        from_len: from.len(),
+        to: pack(to.syms(), bits),
+        to_len: to.len(),
+        from_bits: from.len() as u32 * bits,
+        to_bits: to.len() as u32 * bits,
+    };
+    let mut rules = Vec::with_capacity(2 * p.equations().len());
+    for eq in p.equations().iter().filter(|eq| eq.lhs != eq.rhs) {
+        rules.push(rule(&eq.lhs, &eq.rhs));
+        rules.push(rule(&eq.rhs, &eq.lhs));
+    }
+    rules
+}
+
+/// `w` packed into a key: symbol `i` in bits `i·bits..(i+1)·bits`, as its
+/// index + 1, so the first all-zero field ends the word.
+fn pack<K: Packed>(w: &[Sym], bits: u32) -> K {
+    w.iter().rev().fold(K::zero(), |k, s| {
+        k.shl(bits).or(&K::small(s.index() as u64 + 1))
+    })
+}
+
+/// The symbols of the word packed in `key`, into `out`.
+fn unpack<K: Packed>(key: &K, bits: u32, out: &mut Vec<Sym>) {
+    out.clear();
+    // td-lint: allow(budget-poll) one pass over the symbols of a registered word, which
+    // the ticker charged; it is at most as long as the start word or `max_word_len`.
+    loop {
+        let code = key.field(out.len() as u32 * bits, bits);
+        if code == 0 {
+            return;
+        }
+        out.push(Sym::from(code - 1));
+    }
+}
+
+/// A packed word, or a set of positions in one (bit `i` for position
+/// `i`): an unsigned integer of [`Packed::BITS`] bits. The search only
+/// forms values that fit, so no operation needs to report overflow.
+trait Packed: Clone + Eq {
+    /// Bits a value holds ([`u32::MAX`] for the unbounded [`Wide`]).
+    const BITS: u32;
+    /// The value 0.
+    fn zero() -> Self;
+    /// The value `v`.
+    fn small(v: u64) -> Self;
+    /// Bitwise or.
+    fn or(self, other: &Self) -> Self;
+    /// Bitwise and.
+    fn and(self, other: &Self) -> Self;
+    /// Shifted left by `n` bits; bits past [`Packed::BITS`] are dropped.
+    fn shl(self, n: u32) -> Self;
+    /// Shifted right by `n` bits.
+    fn shr(self, n: u32) -> Self;
+    /// The low `n` bits.
+    fn low(self, n: u32) -> Self;
+    /// `true` for 0.
+    fn is_zero(&self) -> bool;
+    /// The lowest set bit's index (the value is not 0).
+    fn trailing_zeros(&self) -> u32;
+    /// Clears the lowest set bit.
+    fn clear_lowest(&mut self);
+    /// The `bits`-bit field at bit `at` (`bits` < 32).
+    fn field(&self, at: u32, bits: u32) -> usize;
+    /// The [`WordSet`] hash.
+    fn hash(&self) -> Hash;
+}
+
+macro_rules! packed_uint {
+    ($t:ty, $mul:expr) => {
+        impl Packed for $t {
+            const BITS: u32 = <$t>::BITS;
+
+            fn zero() -> Self {
+                0
+            }
+
+            fn small(v: u64) -> Self {
+                v.into()
+            }
+
+            fn or(self, other: &Self) -> Self {
+                self | other
+            }
+
+            fn and(self, other: &Self) -> Self {
+                self & other
+            }
+
+            fn shl(self, n: u32) -> Self {
+                self.checked_shl(n).unwrap_or(0)
+            }
+
+            fn shr(self, n: u32) -> Self {
+                self.checked_shr(n).unwrap_or(0)
+            }
+
+            fn low(self, n: u32) -> Self {
+                self ^ self.shr(n).shl(n)
+            }
+
+            fn is_zero(&self) -> bool {
+                *self == 0
+            }
+
+            fn trailing_zeros(&self) -> u32 {
+                <$t>::trailing_zeros(*self)
+            }
+
+            fn clear_lowest(&mut self) {
+                *self &= *self - 1;
+            }
+
+            fn field(&self, at: u32, bits: u32) -> usize {
+                (self.shr(at) & ((1 << bits) - 1)) as usize
+            }
+
+            /// One multiply (Fibonacci hashing): the product's top 32 bits.
+            fn hash(&self) -> Hash {
+                (self.wrapping_mul($mul) >> (<$t>::BITS - 32)) as Hash
+            }
+        }
+    };
+}
+
+packed_uint!(u64, 0x9e37_79b9_7f4a_7c15);
+packed_uint!(u128, 0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835);
+
+/// An unbounded [`Packed`] value, for words wider than 128 bits: 64-bit
+/// limbs, least significant first, with no zero limb on top (so equal
+/// values have equal limbs).
+#[derive(Clone, PartialEq, Eq)]
+struct Wide(Vec<u64>);
+
+impl Wide {
+    /// Drops the zero limbs on top.
+    fn trim(&mut self) {
+        // td-lint: allow(budget-poll) pops at most the value's own limbs.
+        while self.0.last() == Some(&0) {
+            self.0.pop();
+        }
+    }
+
+    fn trimmed(mut self) -> Self {
+        self.trim();
+        self
+    }
+}
+
+impl Packed for Wide {
+    const BITS: u32 = u32::MAX;
+
+    fn zero() -> Self {
+        Wide(Vec::new())
+    }
+
+    fn small(v: u64) -> Self {
+        Wide(vec![v]).trimmed()
+    }
+
+    fn or(mut self, other: &Self) -> Self {
+        if self.0.len() < other.0.len() {
+            self.0.resize(other.0.len(), 0);
+        }
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
+            *a |= b;
+        }
+        self
+    }
+
+    fn and(mut self, other: &Self) -> Self {
+        self.0.truncate(other.0.len());
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
+            *a &= b;
+        }
+        self.trimmed()
+    }
+
+    fn shl(self, n: u32) -> Self {
+        if self.is_zero() {
+            return self;
+        }
+        let (limbs, r) = ((n / 64) as usize, n % 64);
+        let mut out = vec![0; limbs];
+        let mut carry = 0;
+        for x in self.0 {
+            out.push(x << r | carry);
+            carry = if r == 0 { 0 } else { x >> (64 - r) };
+        }
+        out.push(carry);
+        Wide(out).trimmed()
+    }
+
+    fn shr(self, n: u32) -> Self {
+        let (limbs, r) = ((n / 64) as usize, n % 64);
+        let high = self.0.get(limbs..).unwrap_or_default();
+        let out = (0..high.len())
+            .map(|i| {
+                let above = high.get(i + 1).copied().unwrap_or(0);
+                high[i] >> r | if r == 0 { 0 } else { above << (64 - r) }
+            })
+            .collect();
+        Wide(out).trimmed()
+    }
+
+    fn low(mut self, n: u32) -> Self {
+        let (limbs, r) = ((n / 64) as usize, n % 64);
+        if limbs < self.0.len() {
+            self.0.truncate(limbs + 1);
+            self.0[limbs] &= (1 << r) - 1;
+        }
+        self.trimmed()
+    }
+
+    fn is_zero(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn trailing_zeros(&self) -> u32 {
+        let limb = self.0.iter().position(|&x| x != 0).unwrap_or(0);
+        limb as u32 * 64 + self.0.get(limb).map_or(0, |x| x.trailing_zeros())
+    }
+
+    fn clear_lowest(&mut self) {
+        if let Some(x) = self.0.iter_mut().find(|x| **x != 0) {
+            *x &= *x - 1;
+        }
+        self.trim();
+    }
+
+    fn field(&self, at: u32, bits: u32) -> usize {
+        let (limb, r) = ((at / 64) as usize, at % 64);
+        let get = |i: usize| self.0.get(i).copied().unwrap_or(0);
+        let v = get(limb) >> r | if r == 0 { 0 } else { get(limb + 1) << (64 - r) };
+        (v & ((1 << bits) - 1)) as usize
+    }
+
+    /// The Fx multiply-rotate scheme over the limbs.
+    fn hash(&self) -> Hash {
+        const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+        let h = self
+            .0
+            .iter()
+            .fold(0u64, |h, &x| (h.rotate_left(5) ^ x).wrapping_mul(K));
+        (h >> 32) as Hash
+    }
 }
 
 /// The most words one search can register: an index slot holds a 24-bit
 /// id, and the all-ones id marks an empty slot. A larger `max_states` is
-/// clamped to this (the engine's default of 200,000 is far below it); see
-/// [`state_limit`] for the other clamp.
+/// clamped to this (the engine's default of 200,000 is far below it).
 const MAX_WORDS: usize = (1 << 24) - 1;
 
-/// The state limit of one search from a start word of `start_len`
-/// symbols: `max_states`, clamped to [`MAX_WORDS`] and so that the
-/// arena's symbols (the start word plus at most `max_word_len` per further
-/// word) stay addressable by its `u32` end offsets.
-fn state_limit(budget: &SearchBudget, start_len: usize) -> usize {
-    let room = (u32::MAX as usize).saturating_sub(start_len);
-    let words = 1 + room / budget.max_word_len.max(1);
-    budget.max_states.min(MAX_WORDS).min(words)
-}
-
-/// A [`WordArena`] word's end offset into its symbols.
-type End = u32;
-/// A [`WordArena`] word's parent id.
+/// A [`WordSet`] word's parent id.
 type Parent = u32;
-/// A [`WordArena`] word's stored [`word_hash`].
+/// A key's [`Packed::hash`].
 type Hash = u32;
-/// A [`WordArena`] index slot: a word id under an 8-bit tag.
+/// A [`WordSet`] index slot: a word id under an 8-bit tag.
 type Slot = u32;
 
 // The memory bound in the module docs counts 4 bytes for each per-word
-// record; these keep it from growing back unnoticed.
-const _: () = assert!(size_of::<End>() == 4);
+// record besides the key; these keep it from growing back unnoticed.
 const _: () = assert!(size_of::<Parent>() == 4);
-const _: () = assert!(size_of::<Hash>() == 4);
 const _: () = assert!(size_of::<Slot>() == 4);
 
 /// A used [`Slot`] holds its word's id in the low `ID_BITS` bits and its
@@ -442,7 +748,7 @@ const _: () = assert!(size_of::<Slot>() == 4);
 const ID_BITS: u32 = 24;
 const ID_MASK: Slot = (1 << ID_BITS) - 1;
 
-/// An empty [`WordArena`] index slot (its id bits are all ones, which no
+/// An empty [`WordSet`] index slot (its id bits are all ones, which no
 /// registered word has).
 const EMPTY: Slot = Slot::MAX;
 
@@ -450,69 +756,58 @@ const EMPTY: Slot = Slot::MAX;
 /// registers a few hundred words and must stay cheap to set up.
 const INITIAL_SLOTS: usize = 16;
 
-/// The search's visited set: every registered word, stored once, in
+/// The search's visited set: every registered word's key, in
 /// registration order.
 ///
-/// Word `id` occupies `syms[ends[id - 1]..ends[id]]` (`syms[..ends[0]]`
-/// for the start word, id 0). `parents[id]` is the id it was reached
-/// from (the start word is its own parent); the step taken is not stored
-/// but recovered from the two words ([`registering_step`]). `hashes[id]`
-/// is the word's [`word_hash`]. `slots` is an open-addressing index under
+/// `keys[id]` is word `id` packed ([`pack`]; the start word is id 0), and
+/// `parents[id]` the id it was reached from (the start word is its own
+/// parent); the step taken is not stored but recovered from the two words
+/// ([`registering_step`]). `slots` is an open-addressing index under
 /// linear probing: each used slot packs an id with the low 8 bits of its
-/// word's hash (the tag), so a probe rarely touches a word that does not
-/// match, and a rehash re-slots from `hashes` without touching the words.
-/// The index doubles whenever it would pass half full, so a probe always
-/// ends at an empty slot within a few steps.
-struct WordArena {
-    syms: Vec<Sym>,
-    ends: Vec<End>,
+/// key's hash (the tag), so a probe rarely compares a key that does not
+/// match, and a rehash re-slots by rehashing the keys. The index doubles
+/// whenever it would pass half full, so a probe always ends at an empty
+/// slot within a few steps.
+struct WordSet<K> {
+    keys: Vec<K>,
     parents: Vec<Parent>,
-    hashes: Vec<Hash>,
     slots: Vec<Slot>,
 }
 
-/// Where [`WordArena::find`] stopped for an unregistered word: the empty
+/// Where [`WordSet::find`] stopped for an unregistered key: the empty
 /// slot it belongs in, and its hash.
 struct Vacancy {
     slot: usize,
     hash: Hash,
 }
 
-impl WordArena {
-    /// An arena holding just `start`, as id 0.
-    fn new(start: &[Sym]) -> Self {
-        let mut arena = Self {
-            syms: Vec::new(),
-            ends: Vec::new(),
+impl<K: Packed> WordSet<K> {
+    /// A set holding just `start`, as id 0.
+    fn new(start: K) -> Self {
+        let mut set = Self {
+            keys: Vec::new(),
             parents: Vec::new(),
-            hashes: Vec::new(),
             slots: vec![EMPTY; INITIAL_SLOTS],
         };
-        let hash = word_hash(start);
+        let hash = start.hash();
         let vacancy = Vacancy {
             slot: home(hash, INITIAL_SLOTS),
             hash,
         };
-        arena.insert(vacancy, start, 0);
-        arena
+        set.insert(vacancy, start, 0);
+        set
     }
 
     /// Number of registered words.
     fn len(&self) -> usize {
-        self.ends.len()
+        self.keys.len()
     }
 
-    /// The symbols of word `id`.
-    fn word(&self, id: usize) -> &[Sym] {
-        let from = if id == 0 { 0 } else { self.ends[id - 1] };
-        &self.syms[from as usize..self.ends[id] as usize]
-    }
-
-    /// `Ok(id)` when `w` is registered, else where
-    /// [`WordArena::insert`] must put it.
-    fn find(&self, w: &[Sym]) -> Result<usize, Vacancy> {
+    /// `Ok(id)` when `key` is registered, else where [`WordSet::insert`]
+    /// must put it.
+    fn find(&self, key: &K) -> Result<usize, Vacancy> {
         let mask = self.slots.len() - 1;
-        let hash = word_hash(w);
+        let hash = key.hash();
         let tag = tag_bits(hash);
         let mut slot = home(hash, self.slots.len());
         // td-lint: allow(budget-poll) the index is at most half full, so every probe
@@ -523,23 +818,19 @@ impl WordArena {
                 return Err(Vacancy { slot, hash });
             }
             let id = (used & ID_MASK) as usize;
-            if used & !ID_MASK == tag && self.word(id) == w {
+            if used & !ID_MASK == tag && self.keys[id] == *key {
                 return Ok(id);
             }
             slot = (slot + 1) & mask;
         }
     }
 
-    /// Registers `w` at the [`Vacancy`] that [`WordArena::find`] returned,
+    /// Registers `key` at the [`Vacancy`] that [`WordSet::find`] returned,
     /// reached from `parent`, and returns its id.
-    fn insert(&mut self, at: Vacancy, w: &[Sym], parent: usize) -> usize {
+    fn insert(&mut self, at: Vacancy, key: K, parent: usize) -> usize {
         let id = self.len();
-        self.syms.extend_from_slice(w);
-        self.ends.push(
-            End::try_from(self.syms.len()).expect("state_limit keeps the symbols within u32"),
-        );
+        self.keys.push(key);
         self.parents.push(parent as Parent);
-        self.hashes.push(at.hash);
         self.slots[at.slot] = tag_bits(at.hash) | id as Slot;
         if 2 * self.len() > self.slots.len() {
             self.grow();
@@ -547,10 +838,11 @@ impl WordArena {
         id
     }
 
-    /// Doubles the index and re-slots every word by its stored hash.
+    /// Doubles the index and re-slots every word by its key's hash.
     fn grow(&mut self) {
         let mut slots = vec![EMPTY; 2 * self.slots.len()];
-        for (id, &hash) in self.hashes.iter().enumerate() {
+        for (id, key) in self.keys.iter().enumerate() {
+            let hash = key.hash();
             let slot = vacant_slot(&slots, hash);
             slots[slot] = tag_bits(hash) | id as Slot;
         }
@@ -582,29 +874,6 @@ fn home(hash: Hash, n: usize) -> usize {
 /// slots.
 fn tag_bits(hash: Hash) -> Slot {
     hash << ID_BITS
-}
-
-/// The top 32 bits of [`slice_hash`]: a word's stored hash.
-fn word_hash(w: &[Sym]) -> Hash {
-    (slice_hash(w) >> 32) as Hash
-}
-
-/// A fast non-cryptographic hash of a word (the Fx multiply-rotate
-/// scheme, over four symbols per round): the search hashes every
-/// candidate it generates. The keys are words the search derives itself,
-/// not raw request bytes.
-fn slice_hash(w: &[Sym]) -> u64 {
-    const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-    let round = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(K);
-    let pack = |c: &[Sym]| c.iter().fold(0u64, |x, s| x << 16 | u64::from(s.raw()));
-    let chunks = w.chunks_exact(4);
-    let tail = chunks.remainder();
-    let h = chunks.fold(w.len() as u64, |h, c| round(h, pack(c)));
-    if tail.is_empty() {
-        h
-    } else {
-        round(h, pack(tail))
-    }
 }
 
 /// Convenience: search for the paper's goal derivation `A₀ ⇒* 0`.

@@ -39,7 +39,8 @@ pub struct ModelSearchOptions {
     pub min_size: usize,
     /// Largest semigroup order to try.
     pub max_size: usize,
-    /// Give up after this many search nodes (cell assignments).
+    /// Give up after this many search nodes: interpretations tried plus
+    /// cell assignments.
     pub max_nodes: u64,
 }
 
@@ -87,18 +88,19 @@ const UNSET: u16 = u16::MAX;
 /// nodes — rarely enough that the atomic load stays off the hot path.
 const CANCEL_POLL_MASK: u64 = 0x3FF;
 
-struct Search<'a> {
+struct Search<'a, 't> {
     n: usize,
     p: &'a Presentation,
     /// Flattened n×n table; UNSET marks undecided cells.
     table: Vec<u16>,
-    /// Node budget + cancellation polling, via the shared
-    /// [`td_core::budget`] substrate: one tick per cell assignment, the
+    /// The whole search's node budget + cancellation polling, via the
+    /// shared [`td_core::budget`] substrate: one tick per cell assignment
+    /// (and one per interpretation, charged by the enumeration), the
     /// cancellation token observed every [`CANCEL_POLL_MASK`]+1 nodes.
-    ticker: Ticker<'a>,
+    ticker: &'t mut Ticker<'a>,
 }
 
-impl Search<'_> {
+impl Search<'_, '_> {
     #[inline]
     fn get(&self, a: usize, b: usize) -> u16 {
         self.table[a * self.n + b]
@@ -260,43 +262,53 @@ impl Search<'_> {
 }
 
 /// Enumerates interpretations: zero symbol ↦ 0, `A₀` ↦ nonzero, the rest
-/// free. `f` returns `true` to stop.
-fn for_each_interpretation(
+/// free. Each interpretation costs one `ticker` unit, and its cancellation
+/// token is observed before each one. `f` returns `true` to stop; the
+/// enumeration also stops at the first refused unit.
+fn for_each_interpretation<'c>(
     p: &Presentation,
     n: usize,
-    f: &mut impl FnMut(&Interpretation) -> bool,
+    ticker: &mut Ticker<'c>,
+    f: &mut impl FnMut(&Interpretation, &mut Ticker<'c>) -> bool,
 ) -> bool {
     let k = p.alphabet().len();
     let zero_ix = p.alphabet().zero().index();
     let a0_ix = p.alphabet().a0().index();
     let mut map = vec![0usize; k];
 
-    fn rec(
+    fn rec<'c>(
         map: &mut Vec<usize>,
         sym: usize,
         n: usize,
         zero_ix: usize,
         a0_ix: usize,
-        f: &mut impl FnMut(&Interpretation) -> bool,
+        ticker: &mut Ticker<'c>,
+        f: &mut impl FnMut(&Interpretation, &mut Ticker<'c>) -> bool,
     ) -> bool {
         if sym == map.len() {
+            // A cancelled run stops before the next interpretation, too:
+            // the in-search poll only fires every few hundred nodes, and
+            // small tables burn most of their time across interpretations.
+            if !ticker.poll() || !ticker.tick() {
+                return true;
+            }
             let interp = Interpretation::from_raw(map.iter().copied());
-            return f(&interp);
+            return f(&interp, ticker);
         }
         if sym == zero_ix {
             map[sym] = 0;
-            return rec(map, sym + 1, n, zero_ix, a0_ix, f);
+            return rec(map, sym + 1, n, zero_ix, a0_ix, ticker, f);
         }
         let start = usize::from(sym == a0_ix);
         for v in start..n {
             map[sym] = v;
-            if rec(map, sym + 1, n, zero_ix, a0_ix, f) {
+            if rec(map, sym + 1, n, zero_ix, a0_ix, ticker, f) {
                 return true;
             }
         }
         false
     }
-    rec(&mut map, 0, n, zero_ix, a0_ix, f)
+    rec(&mut map, 0, n, zero_ix, a0_ix, ticker, f)
 }
 
 /// Searches for a finite cancellation countermodel of the zero-saturated
@@ -340,7 +352,9 @@ pub struct TrackedModelSearch {
 /// token is polled before every interpretation and every 1024 search
 /// nodes, and the returned [`TrackedModelSearch`] carries the nodes
 /// visited (even on success) and whether the run was cut short by the
-/// cancellation flag rather than by its own budgets.
+/// cancellation flag rather than by its own budgets. Every interpretation
+/// tried costs one node, whether or not its table search runs, so
+/// `max_nodes` bounds all of the search's work.
 ///
 /// # Errors
 ///
@@ -350,31 +364,19 @@ pub fn find_counter_model_tracked(
     opts: &ModelSearchOptions,
     cancel: &Cancellation,
 ) -> Result<TrackedModelSearch> {
-    let mut total_nodes: u64 = 0;
+    // One ticker for the whole search: one unit per interpretation tried
+    // (charged by the enumeration) and one per cell assignment, so
+    // `max_nodes` bounds the enumeration as well as the table searches.
+    let mut ticker = Ticker::new(cancel, opts.max_nodes, CANCEL_POLL_MASK);
     for n in opts.min_size.max(2)..=opts.max_size {
         let mut found: Option<(FiniteSemigroup, Interpretation)> = None;
-        let mut budget_hit = false;
-        let mut cancelled = false;
-        for_each_interpretation(p, n, &mut |interp| {
-            // A cancelled run stops before the next interpretation, too:
-            // the in-search poll only fires every few hundred nodes, and
-            // small tables burn most of their time across interpretations.
-            if cancel.is_cancelled() {
-                budget_hit = true;
-                cancelled = true;
-                return true;
-            }
-            // Fresh table per interpretation: zero row and column pinned;
-            // the ticker gets whatever node budget is still unspent.
+        for_each_interpretation(p, n, &mut ticker, &mut |interp, ticker| {
+            // Fresh table per interpretation: zero row and column pinned.
             let mut search = Search {
                 n,
                 p,
                 table: vec![UNSET; n * n],
-                ticker: Ticker::new(
-                    cancel,
-                    opts.max_nodes.saturating_sub(total_nodes),
-                    CANCEL_POLL_MASK,
-                ),
+                ticker,
             };
             for x in 0..n {
                 search.set(0, x, 0);
@@ -424,37 +426,32 @@ pub fn find_counter_model_tracked(
             if consistent {
                 if let Some(g) = search.dfs(interp) {
                     found = Some((g, interp.clone()));
-                    total_nodes += search.ticker.spent();
                     return true;
                 }
             }
-            total_nodes += search.ticker.spent();
-            if search.ticker.stopped() {
-                budget_hit = true;
-                cancelled |= search.ticker.cancelled();
-                return true;
-            }
-            false
+            search.ticker.stopped()
         });
+        let nodes = ticker.spent();
         if let Some((g, interp)) = found {
             debug_assert!(properties::is_countermodel(&g, &interp, p));
             return Ok(TrackedModelSearch {
                 result: ModelSearchResult::Found(g, interp),
-                nodes: total_nodes,
+                nodes,
                 cancelled: false,
             });
         }
-        if budget_hit {
+        if ticker.stopped() {
             return Ok(TrackedModelSearch {
-                result: ModelSearchResult::BudgetExhausted { nodes: total_nodes },
-                nodes: total_nodes,
-                cancelled,
+                result: ModelSearchResult::BudgetExhausted { nodes },
+                nodes,
+                cancelled: ticker.cancelled(),
             });
         }
     }
+    let nodes = ticker.spent();
     Ok(TrackedModelSearch {
-        result: ModelSearchResult::ExhaustedSizes { nodes: total_nodes },
-        nodes: total_nodes,
+        result: ModelSearchResult::ExhaustedSizes { nodes },
+        nodes,
         cancelled: false,
     })
 }

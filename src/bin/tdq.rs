@@ -8,6 +8,7 @@
 //! tdq help              this text
 //! ```
 
+use std::path::Path;
 use std::process::ExitCode;
 
 use template_deps::prelude::*;
@@ -15,6 +16,7 @@ use template_deps::serve;
 use template_deps::td_core::render::{diagram_to_ascii, diagram_to_dot};
 use template_deps::td_reduction::engine::EngineConfig;
 use template_deps::td_reduction::part_b::RowLabel;
+use template_deps::td_reduction::snapshot;
 use template_deps::td_reduction::verify::structural_report;
 
 const USAGE: &str = "\
@@ -153,8 +155,8 @@ fn build_engine_with(
 /// structurally invalid snapshot is a hard error; a canon-scheme mismatch
 /// degrades to a cold start with a warning.
 fn cache_load(engine: &Engine, path: &str) -> Result<(), String> {
-    let bytes =
-        std::fs::read(path).map_err(|e| format!("--cache-load: cannot read {path}: {e}"))?;
+    let bytes = snapshot::read_bounded(Path::new(path), engine.cache().capacity())
+        .map_err(|e| format!("--cache-load: cannot read {path}: {e}"))?;
     let stats = engine
         .load_snapshot(&bytes)
         .map_err(|e| format!("--cache-load {path}: {e}"))?;
@@ -177,7 +179,7 @@ fn cache_load(engine: &Engine, path: &str) -> Result<(), String> {
 /// (tmp file + rename — a concurrent reader never sees a torn image).
 fn cache_save(engine: &Engine, path: &str) -> Result<(), String> {
     let image = engine.save_snapshot();
-    template_deps::td_reduction::snapshot::write_atomic(std::path::Path::new(path), &image)
+    snapshot::write_atomic(Path::new(path), &image)
         .map_err(|e| format!("--cache-save: cannot write {path}: {e}"))?;
     eprintln!(
         "tdq: --cache-save {path}: {} cached verdict(s), {} bytes",

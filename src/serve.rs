@@ -693,7 +693,11 @@ pub fn handle_line(engine: &Engine, line: &str) -> ServeReply {
                     Err(e) => reply(error_reply(&id, &format!("cannot write {path}: {e}"), None)),
                 }
             } else {
-                let bytes = match std::fs::read(path) {
+                let capacity = engine.cache().capacity();
+                let bytes = match td_reduction::snapshot::read_bounded(
+                    std::path::Path::new(path),
+                    capacity,
+                ) {
                     Ok(b) => b,
                     Err(e) => {
                         return reply(error_reply(&id, &format!("cannot read {path}: {e}"), None));
@@ -1346,6 +1350,13 @@ mod tests {
             "{\"id\":\"e2\",\"op\":\"cache_load\",\"path\":\"/nonexistent/x.tdsnap\"}",
         );
         assert!(r.text.contains("cannot read"), "{}", r.text);
+        // A device is refused before a byte of it is read.
+        let r = handle_line(
+            &warm,
+            "{\"id\":\"e4\",\"op\":\"cache_load\",\"path\":\"/dev/zero\"}",
+        );
+        assert!(r.text.contains("\"ok\":false"), "{}", r.text);
+        assert!(r.text.contains("not a regular file"), "{}", r.text);
         let mut image = std::fs::read(&path).unwrap();
         let mid = image.len() / 2;
         image[mid] ^= 0x20;
@@ -1397,6 +1408,33 @@ mod tests {
         );
         assert!(r.text.contains("\"verdict\":\"refuted\""), "{}", r.text);
         assert!(r.text.contains("\"spend\":{"), "{}", r.text);
+    }
+
+    /// `A1^14 = A0` normalizes to 15 symbols, so order 4 alone has
+    /// 4^13 · 3 interpretations. Every interpretation costs a model node,
+    /// so `model_nodes: 1` stops the model search after its first one and
+    /// the question answers `unknown` at once, with its spend reported
+    /// exactly. The guard is generous: unmetered, this probe ran for
+    /// seconds even in a release build.
+    #[test]
+    fn model_node_budget_bounds_the_interpretation_enumeration() {
+        let engine = Engine::new();
+        let word = vec!["A1"; 14].join(" ");
+        let line = format!(
+            "{{\"id\":\"m\",\"op\":\"wp\",\"alphabet\":[\"A0\",\"A1\",\"0\"],\
+             \"eqs\":[\"{word} = A0\"],\
+             \"budgets\":{{\"derivation_states\":10,\"model_nodes\":1}},\"spend\":true}}"
+        );
+        let began = std::time::Instant::now();
+        let r = handle_line(&engine, &line);
+        assert!(
+            began.elapsed() < std::time::Duration::from_secs(5),
+            "took {:?}",
+            began.elapsed()
+        );
+        assert!(r.text.contains("\"verdict\":\"unknown\""), "{}", r.text);
+        assert!(r.text.contains("\"model_nodes\":1,"), "{}", r.text);
+        assert!(r.text.contains("\"model_truncated\":false"), "{}", r.text);
     }
 
     const PROD_TEXT: &str = "schema R(A, B)\\ntd prod: (a, b) (a2, b2) -> (a, b2)\\n";
@@ -1671,5 +1709,94 @@ mod tests {
         assert!(lines[1].starts_with("{\"id\":\"2\""));
         assert!(lines[1].contains("\"cached\":true"));
         assert_eq!(lines[2], "{\"id\":\"3\",\"ok\":true,\"op\":\"shutdown\"}");
+    }
+
+    /// A hostile line of one of four shapes, sized by `n` (1..=100,000):
+    /// nesting `n` levels deep, a number of up to 10,000 digits, a string
+    /// of up to 1 MB, or an unknown op. Each shape comes in four variants
+    /// (`variant`), placing the payload where a handler might choke.
+    fn hostile_line(kind: u32, n: usize, variant: u32) -> String {
+        match kind {
+            0 => match variant {
+                0 => "[".repeat(n),
+                1 => "{\"a\":".repeat(n),
+                2 => format!("{}{}", "[".repeat(n), "]".repeat(n)),
+                _ => format!(
+                    "{{\"id\":\"d\",\"op\":\"wp\",\"x\":{}",
+                    "[{\"a\":".repeat(n / 2)
+                ),
+            },
+            1 => {
+                let digits = "9".repeat(n % 10_000 + 1);
+                match variant {
+                    0 => digits,
+                    1 => format!("{{\"id\":{digits},\"op\":\"stats\"}}"),
+                    2 => format!(
+                        "{{\"id\":\"b\",\"op\":\"wp\",\"alphabet\":[\"A0\",\"0\"],\"eqs\":[],\
+                         \"budgets\":{{\"model_nodes\":{digits}}}}}"
+                    ),
+                    _ => format!(
+                        "{{\"id\":\"e\",\"op\":\"stats\",\"x\":-{digits}.{digits}e{digits}}}"
+                    ),
+                }
+            }
+            2 => {
+                let text = "x".repeat((n * 11).min(1 << 20));
+                match variant {
+                    0 => format!("{{\"id\":\"{text}\",\"op\":\"stats\"}}"),
+                    1 => format!("{{\"id\":\"s\",\"op\":\"{text}\"}}"),
+                    2 => format!(
+                        "{{\"id\":\"s\",\"op\":\"stats\",\"x\":\"{}\"}}",
+                        "\\u00e9".repeat(n)
+                    ),
+                    _ => format!("{{\"id\":\"s\",\"op\":\"stats\",\"x\":\"{text}"),
+                }
+            }
+            _ => match variant {
+                0 => format!("{{\"id\":\"u\",\"op\":\"op{n}\"}}"),
+                1 => "{\"id\":\"u\",\"op\":\"\"}".to_owned(),
+                2 => format!("{{\"id\":\"u\",\"op\":{n}}}"),
+                _ => "{\"id\":\"u\"}".to_owned(),
+            },
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(40))]
+
+        /// Whatever one line holds, `handle_line` answers it with exactly
+        /// one reply line, a JSON object with an `ok` field, without
+        /// panicking or overflowing a 256 KiB stack.
+        #[test]
+        fn hostile_lines_get_exactly_one_reply(
+            kind in 0..4u32,
+            n in 1..=100_000usize,
+            variant in 0..4u32,
+        ) {
+            let engine = Engine::new();
+            let line = hostile_line(kind, n, variant);
+            let reply = std::thread::scope(|s| {
+                std::thread::Builder::new()
+                    .stack_size(256 * 1024)
+                    .spawn_scoped(s, || handle_line(&engine, &line))
+                    .unwrap()
+                    .join()
+            });
+            let Ok(reply) = reply else {
+                return Err(proptest::test_runner::TestCaseError::fail(format!(
+                    "handle_line panicked on shape ({kind}, {n}, {variant})"
+                )));
+            };
+            proptest::prop_assert!(!reply.text.contains('\n'), "one reply line");
+            proptest::prop_assert!(!reply.shutdown);
+            let parsed = Json::parse(&reply.text);
+            proptest::prop_assert!(
+                parsed.is_ok(),
+                "reply is JSON: {}",
+                reply.text.chars().take(200).collect::<String>()
+            );
+            let parsed = parsed.unwrap();
+            proptest::prop_assert!(parsed.get("ok").is_some(), "reply has `ok`");
+        }
     }
 }

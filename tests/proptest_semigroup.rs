@@ -50,6 +50,47 @@ fn with_duplicates(p: &Presentation) -> Presentation {
     Presentation::new(p.alphabet().clone(), eqs).unwrap()
 }
 
+/// Strategy: a presentation over `n` symbols (`A0, …, A{n-2}, 0`) with
+/// random (2,1) and (1,1) equations, zero-saturated or not.
+fn arb_two_one_presentation(n: u16) -> impl Strategy<Value = Presentation> {
+    let eq = (0..n, 0..n, 0..n, 0..2u32);
+    (proptest::collection::vec(eq, 0..6), 0..2u32).prop_map(move |(eqs, zerosat)| {
+        let eqs = eqs
+            .into_iter()
+            .map(|(a, b, c, one_one)| {
+                let lhs = if one_one == 1 { vec![a] } else { vec![a, b] };
+                Equation::new(Word::from_raw(lhs).unwrap(), Word::from_raw([c]).unwrap())
+            })
+            .collect();
+        let mut p = Presentation::new(Alphabet::standard(usize::from(n) - 1), eqs).unwrap();
+        if zerosat == 1 {
+            p.saturate_with_zero_equations();
+        }
+        p
+    })
+}
+
+/// `start` after the rewrites that `picks` choose, one per pick, each
+/// among every (equation, direction, position) that applies at that
+/// point: a target the search can reach.
+fn rewritten(p: &Presentation, start: &Word, picks: &[usize]) -> Word {
+    let mut w = start.clone();
+    for &pick in picks {
+        let mut moves = Vec::new();
+        for eq in p.equations() {
+            for (from, to) in [(&eq.lhs, &eq.rhs), (&eq.rhs, &eq.lhs)] {
+                for pos in w.occurrences(from) {
+                    moves.push(w.replace_range(pos, from.len(), to).unwrap());
+                }
+            }
+        }
+        if !moves.is_empty() {
+            w = moves.swap_remove(pick % moves.len());
+        }
+    }
+    w
+}
+
 /// The reference derivation search: the original `HashMap`-of-parents
 /// BFS, kept verbatim as the differential oracle for
 /// [`search_derivation_tracked`]. Both must agree on the whole
@@ -210,6 +251,33 @@ proptest! {
             let arena = search_derivation_tracked(&p, s, t, &budget, &never);
             let reference = reference_search(&p, s, t, &budget, &never);
             prop_assert_eq!(arena, reference);
+        }
+    }
+
+    /// Every key width: alphabets of 2–40 symbols and windows of up to
+    /// 30 symbols put the search on `u64`, `u128` and limb-vector keys,
+    /// with start words up to 30 symbols long. Each run matches the
+    /// reference in full, for the goal, for a random target and for a
+    /// target a few rewrites away from the start.
+    #[test]
+    fn packed_bfs_matches_reference_at_every_key_width(
+        (p, start, target, picks) in (2..=40u16).prop_flat_map(|n| (
+            arb_two_one_presentation(n),
+            arb_word(n, 30),
+            arb_word(n, 30),
+            proptest::collection::vec(0..64usize, 0..4),
+        )),
+        max_word_len in 1..=30usize,
+        max_states in 0..600usize,
+    ) {
+        let budget = SearchBudget { max_word_len, max_states };
+        let never = Cancellation::new();
+        let goal = p.goal();
+        let near = rewritten(&p, &start, &picks);
+        for (s, t) in [(&goal.lhs, &goal.rhs), (&start, &target), (&start, &near)] {
+            let packed = search_derivation_tracked(&p, s, t, &budget, &never);
+            let reference = reference_search(&p, s, t, &budget, &never);
+            prop_assert_eq!(packed, reference);
         }
     }
 
@@ -477,6 +545,48 @@ fn ambiguous_steps_are_the_registering_ones() {
         let d = arena.result.derivation().expect("reachable");
         assert_eq!(d.steps, steps);
         d.verify(&p, &start, &target).unwrap();
+    }
+}
+
+/// Searches whose words fill their keys: for each window just below and
+/// just above the 64- and 128-bit limits (15 symbols of 4 bits: 16 and 17
+/// symbols around `u64`, 32 and 33 around `u128`), and for the engine's
+/// window of 12 over 1,024 symbols of 11 bits, the target puts the
+/// highest code in the top field of the longest word the window admits.
+/// The search must reach it, fail to reach the same word one symbol
+/// longer, and match the reference on both.
+#[test]
+fn words_at_the_key_width_limits_match_reference() {
+    let never = Cancellation::new();
+    for (regular, max_word_len) in [(14, 16), (14, 17), (14, 32), (14, 33), (1023, 12)] {
+        let alphabet = Alphabet::standard(regular);
+        let a = format!("A{}", regular - 1);
+        let grow = Equation::parse(&format!("{a} {a} = {a}"), &alphabet).unwrap();
+        let p = Presentation::new(alphabet, vec![grow]).unwrap();
+        let word = |n: usize| {
+            let mut text = vec![a.as_str(); n];
+            text.push("0");
+            Word::parse(&text.join(" "), p.alphabet()).unwrap()
+        };
+        let start = word(1);
+        let budget = SearchBudget {
+            max_word_len,
+            max_states: 1_000,
+        };
+        for (n, reachable) in [(max_word_len - 1, true), (max_word_len, false)] {
+            let target = word(n);
+            let packed = search_derivation_tracked(&p, &start, &target, &budget, &never);
+            let reference = reference_search(&p, &start, &target, &budget, &never);
+            assert_eq!(
+                packed, reference,
+                "{regular} symbols, window {max_word_len}"
+            );
+            assert_eq!(packed.result.derivation().is_some(), reachable);
+            if let Some(d) = packed.result.derivation() {
+                assert_eq!(d.len(), max_word_len - 2);
+                d.verify(&p, &start, &target).unwrap();
+            }
+        }
     }
 }
 

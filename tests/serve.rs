@@ -278,3 +278,67 @@ fn listen_clients_get_structured_errors_and_survive_them() {
     let status = wait_with_deadline(&mut child, Duration::from_secs(60));
     assert!(status.success());
 }
+
+/// `cache_load` reads at most the image a cache of the server's capacity
+/// can save: `--cache-cap 1` over 16 shards is 16 entries, 832 bytes. A
+/// device and a larger file both get an error reply, nothing is loaded,
+/// and the next `wp` is answered, on the same connection and a fresh one.
+#[test]
+fn listen_cache_load_refuses_devices_and_oversized_files() {
+    let dir = std::env::temp_dir().join(format!("tdq-serve-load-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let big = dir.join("big.tdsnap");
+    std::fs::write(&big, vec![0u8; 4096]).expect("write");
+    let mut child = tdq()
+        .args(["serve", "--listen", "127.0.0.1:0", "--cache-cap", "1"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    let mut server_out = BufReader::new(child.stdout.take().expect("stdout"));
+    let mut ready = String::new();
+    server_out.read_line(&mut ready).expect("ready line");
+    let addr = ready
+        .trim()
+        .strip_prefix("{\"serving\":\"")
+        .and_then(|s| s.strip_suffix("\"}"))
+        .expect("ready line")
+        .to_owned();
+    let connect = || {
+        let stream = TcpStream::connect(&addr).expect("connect");
+        (BufReader::new(stream.try_clone().expect("clone")), stream)
+    };
+    let ask = |conn: &mut (BufReader<TcpStream>, TcpStream), req: &str| -> String {
+        writeln!(conn.1, "{req}").expect("send");
+        let mut line = String::new();
+        conn.0.read_line(&mut line).expect("reply");
+        line.trim().to_owned()
+    };
+
+    let mut conn = connect();
+    let err = ask(
+        &mut conn,
+        "{\"id\":\"z\",\"op\":\"cache_load\",\"path\":\"/dev/zero\"}",
+    );
+    assert!(err.starts_with("{\"id\":\"z\",\"ok\":false,"), "{err}");
+    assert!(err.contains("not a regular file"), "{err}");
+    let path_json = big.to_string_lossy().replace('\\', "\\\\");
+    let err = ask(
+        &mut conn,
+        &format!("{{\"id\":\"big\",\"op\":\"cache_load\",\"path\":\"{path_json}\"}}"),
+    );
+    assert!(err.starts_with("{\"id\":\"big\",\"ok\":false,"), "{err}");
+    assert!(err.contains("larger than 832 bytes"), "{err}");
+    let ok = ask(&mut conn, &wp_request("after-load", 0, true));
+    assert!(ok.contains("\"verdict\":\"implied\""), "{ok}");
+    assert!(ok.contains("\"cached\":false"), "nothing was loaded: {ok}");
+    let ok = ask(&mut connect(), &wp_request("fresh", 1, false));
+    assert!(ok.contains("\"verdict\":\"refuted\""), "{ok}");
+
+    let bye = ask(&mut conn, "{\"id\":\"q\",\"op\":\"shutdown\"}");
+    assert!(bye.contains("\"op\":\"shutdown\""));
+    let status = wait_with_deadline(&mut child, Duration::from_secs(60));
+    assert!(status.success());
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
